@@ -577,10 +577,6 @@ _HANDLERS = {
     "bench": cmd_bench,
 }
 
-# bench output embeds wall times, so rerun bytes legitimately differ
-_TIMING_COMMANDS = {"bench"}
-
-
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=None)

@@ -132,6 +132,26 @@ def new_model(
     return DemoModel(channels=channels, combiner=combiner, skip=skip, head=head)
 
 
+_SUM_COLUMNS = 16  # columns per bincount: bounds its (edges x columns) temporaries
+
+
+def _gather_sum(x: np.ndarray, take: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """(n, w) array whose row r sums ``x[take[e]]`` over every e with rows[e] == r.
+
+    One ``np.bincount`` over (row, column) cells per block of columns.
+    """
+    w = x.shape[1]
+    out = np.zeros((n, w))
+    if take.size == 0:
+        return out
+    for j in range(0, w, _SUM_COLUMNS):
+        b = min(_SUM_COLUMNS, w - j)
+        cells = (rows[:, None] * b + np.arange(b)).ravel()
+        vals = x[take, j : j + b].ravel()
+        out[:, j : j + b] = np.bincount(cells, weights=vals, minlength=n * b).reshape(n, b)
+    return out
+
+
 def forward_channel(
     layers: list[SageLayer], sub: Subgraph, x: np.ndarray, return_cache: bool = False
 ):
@@ -152,10 +172,8 @@ def forward_channel(
             raise ValueError(
                 f"layer expects width {layer.w_self.shape[1]}, got {h.shape[1]}"
             )
-        agg = np.zeros_like(h)
-        if g.targets.size:
-            np.add.at(agg, src_idx, h[g.targets])
-            agg[nz] /= counts[nz, None]
+        agg = _gather_sum(h, g.targets, src_idx, g.n)
+        agg[nz] /= counts[nz, None]
         z = h @ layer.w_self.T + agg @ layer.w_neigh.T + layer.b
         cache.append((h, agg, z))
         h = np.maximum(z, 0.0)
@@ -173,6 +191,7 @@ def backward_channel(
     layer_cache, seeds = cache
     counts = np.diff(g.offsets).astype(np.float64)
     src_idx = np.repeat(np.arange(g.n), np.diff(g.offsets))
+    nz = counts > 0.0
     d_h = np.zeros((g.n, d_seeds.shape[1]))
     d_h[seeds] = d_seeds
     grads: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None]
@@ -183,8 +202,8 @@ def backward_channel(
         grads[i] = (dz.T @ h_in, dz.T @ agg, dz.sum(axis=0))
         d_h = dz @ layers[i].w_self
         d_agg = dz @ layers[i].w_neigh
-        if g.targets.size:
-            np.add.at(d_h, g.targets, d_agg[src_idx] / counts[src_idx, None])
+        d_agg[nz] /= counts[nz, None]  # each edge passes back its share of the mean
+        d_h += _gather_sum(d_agg, src_idx, g.targets, g.n)
     return grads  # type: ignore[return-value]
 
 

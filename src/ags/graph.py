@@ -295,44 +295,58 @@ class Subgraph:
         return np.flatnonzero(self.seed_mask)
 
 
+def unique_ids(ids: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an int64 id array.
+
+    A sort and a neighbour compare. ``np.unique`` (numpy 2) hashes
+    integer input, which is several times slower at sampled-batch sizes.
+    """
+    s = np.sort(ids)
+    if s.size:
+        s = s[np.concatenate([[True], s[1:] != s[:-1]])]
+    return s
+
+
 def build_subgraph(g: Graph, seeds, edges, layers=None) -> Subgraph:
     """Materialize sampled nodes/edges as a Subgraph with local ids.
 
-    ``edges`` is an iterable of (u, v) global pairs, u the aggregating
-    node. ``layers`` optionally splits the same edges per hop. Node set =
-    seeds plus all edge endpoints; ids out of range are rejected.
+    ``edges`` is an (k, 2) array (or sequence of pairs) of global (u, v),
+    u the aggregating node. ``layers`` optionally splits the same edges
+    per hop. Node set = seeds plus all edge endpoints; ids out of range
+    are rejected. Local ids are positions in the sorted node set.
     """
-    seeds = np.asarray(list(seeds), dtype=np.int64)
-    edge_arr = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
-    for arr in (seeds, edge_arr.ravel()):
+    seeds = np.asarray(seeds, dtype=np.int64).ravel()
+    edge_arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    for arr in (seeds, edge_arr):
         if arr.size and (arr.min() < 0 or arr.max() >= g.n):
             raise ValueError("node id out of range")
-    node_ids = np.unique(np.concatenate([seeds, edge_arr.ravel()]))
-    local_of = {int(gid): i for i, gid in enumerate(node_ids)}
-    if edge_arr.size:
-        lsrc = np.fromiter((local_of[int(u)] for u in edge_arr[:, 0]), np.int64)
-        ldst = np.fromiter((local_of[int(v)] for v in edge_arr[:, 1]), np.int64)
-    else:
-        lsrc = ldst = np.zeros(0, dtype=np.int64)
-    local = from_edges(len(node_ids), lsrc, ldst, directed=True)
-    seed_mask = np.zeros(len(node_ids), dtype=bool)
-    for s in seeds:
-        seed_mask[local_of[int(s)]] = True
+    node_ids = unique_ids(np.concatenate([seeds, edge_arr.ravel()]))
+    local_of = np.full(g.n, -1, dtype=np.int64)
+    local_of[node_ids] = np.arange(node_ids.size)
+    local = local_of[edge_arr]
+    local_graph = from_edges(node_ids.size, local[:, 0], local[:, 1], directed=True)
+    seed_mask = np.zeros(node_ids.size, dtype=bool)
+    seed_mask[local_of[seeds]] = True
     local_layers = None
     if layers is not None:
-        local_layers = tuple(
-            np.asarray(
-                [(local_of[int(u)], local_of[int(v)]) for u, v in layer],
-                dtype=np.int64,
-            ).reshape(-1, 2)
-            for layer in layers
-        )
+        local_layers = tuple(_localize(local_of, layer) for layer in layers)
     return Subgraph(
         parent_ids=_frozen(node_ids),
-        graph=local,
+        graph=local_graph,
         seed_mask=_frozen(seed_mask),
         layers=local_layers,
     )
+
+
+def _localize(local_of: np.ndarray, pairs) -> np.ndarray:
+    """Local ids of global (u, v) pairs; every id must be a subgraph node."""
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if arr.size and (arr.min() < 0 or arr.max() >= local_of.size):
+        raise ValueError("node id out of range")
+    loc = local_of[arr]
+    if loc.size and loc.min() < 0:
+        raise ValueError("layer edge endpoint is not a subgraph node")
+    return loc
 
 
 @dataclass(frozen=True)
@@ -342,6 +356,12 @@ class RankTable:
     ``ranked_ids[offsets[u]:offsets[u+1]]`` is a permutation of N(u) in
     rank order; ``probs`` holds the parallel PMF which sums to 1 per
     non-empty row and is positive everywhere.
+
+    ``cdf`` is derived from ``probs`` on construction and never written
+    to files: row u holds u plus the row's running mass, normalised by
+    the row's own total so its last entry is exactly u + 1. The whole
+    array is nondecreasing, so one ``searchsorted`` of u + U draws from
+    row u for every u of a frontier at once.
     """
 
     mode: str
@@ -350,6 +370,10 @@ class RankTable:
     offsets: np.ndarray
     ranked_ids: np.ndarray
     probs: np.ndarray
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cdf", _frozen(_shifted_cdf(self.offsets, self.probs)))
 
     @property
     def n(self) -> int:
@@ -379,6 +403,26 @@ class RankTable:
             if g is not None:
                 if not np.array_equal(np.sort(ids), g.neighbors(u)):
                     raise ValueError(f"row {u} is not a permutation of N(u)")
+
+
+def _shifted_cdf(offsets: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Row id plus normalised in-row running mass, for every table entry.
+
+    Never raises: a table that ``RankTable.validate`` rejects (bad
+    offsets, a row of zero or non-finite mass) still gets an array, and
+    draws from such a table are meaningless but stay inside their row.
+    """
+    m = probs.shape[0]
+    if m == 0 or offsets.shape[0] < 2:
+        return np.zeros(m, dtype=np.float64)
+    bounds = np.clip(offsets, 0, m)
+    # entry j's row counts the row ends at or before j
+    row = np.cumsum(np.bincount(bounds[1:], minlength=m + 1)[:m])
+    row = np.minimum(row, offsets.shape[0] - 2)
+    cum = np.concatenate([[0.0], np.cumsum(probs)])
+    base = cum[bounds[row]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return row + (cum[1:] - base) / (cum[bounds[row + 1]] - base)
 
 
 def make_rank_table(mode, pmf_kind, pmf_params, offsets, ranked_ids, probs) -> RankTable:

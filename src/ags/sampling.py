@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, RankTable, Subgraph, build_subgraph
-
-RESIDUAL_EDGE_FRAC = 0.05
+from .graph import Graph, RankTable, Subgraph, build_subgraph, unique_ids
 
 
 def rng_for(seed: int, *stream: int) -> np.random.Generator:
@@ -28,39 +26,90 @@ def rng_for(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
+def sample_frontier(
+    rt: RankTable,
+    frontier,
+    k: int,
+    replace: bool,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw k neighbors of every frontier vertex from its rank-table PMF.
+
+    Returns ``(which, picks)``: ``picks[i]`` was drawn for the vertex
+    ``frontier[which[i]]``, and draws are grouped by frontier position in
+    ascending order. A frontier may repeat a vertex; each occurrence draws
+    on its own. A vertex with no neighbors draws nothing.
+
+    With replacement: k iid draws per vertex (inverse CDF). Without:
+    min(k, d) distinct neighbors per vertex, the d entries of its row
+    ordered by exponential keys -log(U) / p (Efraimidis and Spirakis
+    2006). Either way the generator is read vertex by vertex, in frontier
+    order, as a loop over the frontier would read it.
+    """
+    if k < 0:
+        raise ValueError("sample size must be nonnegative")
+    frontier = np.asarray(frontier, dtype=np.int64)
+    lo = rt.offsets[frontier]
+    hi = rt.offsets[frontier + 1]
+    live = np.flatnonzero(hi > lo)
+    if k == 0 or live.size == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+    if replace:
+        which = np.repeat(live, k)
+        return which, _inverse_cdf(rt, frontier[which], rng.random(which.size))
+
+    lo, hi = lo[live], hi[live]
+    d = hi - lo
+    first = np.cumsum(d) - d  # each row's first slot in the gathered entries
+    which = np.repeat(live, d)
+    pos = np.arange(which.size) + np.repeat(lo - first, d)
+    keys = -np.log(rng.random(pos.size)) / rt.probs[pos]
+    order = _lexsort_rows(keys, which)
+    # sorting keeps every row in its own slots, so slot - row start is the rank
+    rank = np.arange(pos.size) - np.repeat(first, d)
+    sel = order[rank < k]
+    return which[sel], rt.ranked_ids[pos[sel]]
+
+
+def _inverse_cdf(rt: RankTable, src: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The neighbor of ``src[i]`` that uniform ``u[i]`` in [0, 1) selects.
+
+    One ``searchsorted`` of src + u into the table's shifted CDF serves
+    every row; clipping to the row keeps a sum that rounds up to src + 1
+    from spilling into the next row.
+    """
+    pos = np.searchsorted(rt.cdf, u + src, side="right")
+    np.clip(pos, rt.offsets[src], rt.offsets[src + 1] - 1, out=pos)
+    return rt.ranked_ids[pos]
+
+
+def _lexsort_rows(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The order of ``np.lexsort((keys, rows))`` for float keys, faster.
+
+    Replaces each key by its global rank, so one integer argsort of
+    row * size + rank sorts by row, then key. Equal keys may come in
+    either order; the result is still a function of the input alone.
+    """
+    rank = np.empty(keys.size, dtype=np.int64)
+    rank[np.argsort(keys)] = np.arange(keys.size)
+    return np.argsort(rows * keys.size + rank)
+
+
 def sample_neighbors(
     rt: RankTable,
     u: int,
     k: int,
     replace: bool,
     rng: np.random.Generator,
-    exclude_self: bool = False,
 ) -> np.ndarray:
-    """Draw k neighbors of u from its rank-table PMF.
+    """Draw k neighbors of u from its rank-table PMF (a frontier of one).
 
-    With replacement: k iid draws (inverse-CDF on the cumulative
-    masses). Without: min(k, d) distinct neighbors by exponential-key
-    order statistics, so inclusion respects the PMF weights. A vertex
-    with no neighbors yields an empty draw.
+    With replacement: k iid draws. Without: min(k, d) distinct neighbors
+    whose inclusion respects the PMF weights. A vertex with no neighbors
+    yields an empty draw.
     """
-    if k < 0:
-        raise ValueError("sample size must be nonnegative")
-    ids, probs = rt.row(u)
-    if exclude_self:
-        keep = ids != u
-        ids, probs = ids[keep], probs[keep]
-        if probs.shape[0]:
-            probs = probs / probs.sum()
-    d = ids.shape[0]
-    if k == 0 or d == 0:
-        return np.zeros(0, dtype=np.int64)
-    if replace:
-        cum = np.cumsum(probs)
-        idx = np.searchsorted(cum, rng.random(k), side="right")
-        return ids[np.minimum(idx, d - 1)]
-    take = min(k, d)
-    keys = -np.log(rng.random(d)) / probs
-    return ids[np.argsort(keys, kind="stable")[:take]]
+    return sample_frontier(rt, np.array([u], dtype=np.int64), k, replace, rng)[1]
 
 
 def node_sample_khop(
@@ -74,16 +123,17 @@ def node_sample_khop(
     """Layered fanout expansion from the seeds, one subgraph per table.
 
     Each layer samples ``fanouts[i]`` neighbors of every frontier vertex
-    (frontier iterated in ascending id order, so draws are reproducible)
-    and the next frontier is the set of newly drawn targets. Every
-    sampled edge is recorded with its layer. Passing two tables expands
-    two channels over the same seed set, one after the other.
+    in one frontier-wide draw (frontier in ascending id order, so draws
+    are reproducible) and the next frontier is the set of newly drawn
+    targets. Every sampled edge is recorded with its layer. Passing two
+    tables expands two channels over the same seed set, one after the
+    other.
     """
     single = isinstance(tables, RankTable)
     tabs = [tables] if single else list(tables)
     if not 1 <= len(tabs) <= 2:
         raise ValueError("expected one or two rank tables")
-    seed_arr = np.unique(np.asarray(list(seeds), dtype=np.int64))
+    seed_arr = unique_ids(np.asarray(seeds, dtype=np.int64).ravel())
     if seed_arr.size == 0:
         raise ValueError("empty seed set")
     if seed_arr.min() < 0 or seed_arr.max() >= g.n:
@@ -93,20 +143,13 @@ def node_sample_khop(
     outs = []
     for rt in tabs:
         frontier = seed_arr
-        edges: list[tuple[int, int]] = []
-        layer_arrays = []
+        layers = []
         for k in fanouts:
-            layer: list[tuple[int, int]] = []
-            for u in frontier:
-                for v in sample_neighbors(rt, int(u), k, replace, rng):
-                    layer.append((int(u), int(v)))
-            arr = np.asarray(layer, dtype=np.int64).reshape(-1, 2)
-            layer_arrays.append(arr)
-            edges.extend(layer)
-            frontier = (
-                np.unique(arr[:, 1]) if arr.size else np.zeros(0, dtype=np.int64)
-            )
-        outs.append(build_subgraph(g, seed_arr, edges, layers=layer_arrays))
+            which, picks = sample_frontier(rt, frontier, k, replace, rng)
+            layers.append(np.stack([frontier[which], picks], axis=1))
+            frontier = unique_ids(picks)
+        edges = np.concatenate(layers)
+        outs.append(build_subgraph(g, seed_arr, edges, layers=layers))
     return outs[0] if single else outs
 
 
@@ -119,41 +162,47 @@ def weighted_random_walk(
 ) -> Subgraph:
     """One PMF-weighted walk per seed; the subgraph unions the walk edges.
 
-    A dead end (vertex with no ranked neighbors) truncates that walk.
-    steps = 0 returns the seeds with no edges.
+    All walks take each step together. Each walk whose seed has ranked
+    neighbors owns ``steps`` uniforms, drawn walk by walk. A dead end
+    (vertex with no ranked neighbors) truncates that walk. steps = 0
+    returns the seeds with no edges.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    seed_arr = np.asarray(list(seeds), dtype=np.int64)
+    seed_arr = np.asarray(seeds, dtype=np.int64).ravel()
     if seed_arr.size == 0:
         raise ValueError("empty seed set")
     if seed_arr.min() < 0 or seed_arr.max() >= g.n:
         raise ValueError("seed id out of range")
-    edges: list[tuple[int, int]] = []
-    for s in seed_arr:
-        cur = int(s)
-        for _ in range(steps):
-            picks = sample_neighbors(rt, cur, 1, True, rng)
-            if picks.shape[0] == 0:
-                break
-            nxt = int(picks[0])
-            edges.append((cur, nxt))
-            cur = nxt
+
+    cur = seed_arr[rt.offsets[seed_arr + 1] > rt.offsets[seed_arr]]
+    u = rng.random((cur.size, steps))
+    walker = np.arange(cur.size)
+    hops = []
+    for t in range(steps):
+        if cur.size == 0:
+            break
+        nxt = _inverse_cdf(rt, cur, u[walker, t])
+        hops.append(np.stack([cur, nxt], axis=1))
+        keep = rt.offsets[nxt + 1] > rt.offsets[nxt]
+        cur, walker = nxt[keep], walker[keep]
+    edges = np.concatenate(hops) if hops else np.zeros((0, 2), dtype=np.int64)
     return build_subgraph(g, seed_arr, edges)
 
 
 def edge_weights_from_table(g: Graph, rt: RankTable) -> np.ndarray:
-    """Per-directed-edge weights: the PMF mass of each target in its row."""
-    w = np.zeros(g.m, dtype=np.float64)
-    for u in range(g.n):
-        lo, hi = int(g.offsets[u]), int(g.offsets[u + 1])
-        if hi == lo:
-            continue
-        ids, probs = rt.row(u)
-        nbrs = g.targets[lo:hi]
-        pos = {int(v): i for i, v in enumerate(ids)}
-        w[lo:hi] = probs[[pos[int(v)] for v in nbrs]]
-    return w
+    """Per-directed-edge weights: the PMF mass of each target in its row.
+
+    Raises ValueError when a table row is not a permutation of the
+    graph's row, i.e. the table was built for another graph.
+    """
+    if not np.array_equal(rt.offsets, g.offsets):
+        raise ValueError("rank table rows do not match the graph")
+    rows = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees())
+    order = np.lexsort((rt.ranked_ids, rows))
+    if not np.array_equal(rt.ranked_ids[order], g.targets):
+        raise ValueError("rank table rows do not match the graph")
+    return rt.probs[order]
 
 
 @dataclass

@@ -39,3 +39,111 @@ def max_relative_error(analytic, numeric, floor=1e-8):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
+
+
+# ------------------------------------------------------------- samplers
+#
+# Per-vertex Python loops, the way the samplers drew and materialised
+# before frontier-wide draws. They share only data accessors
+# (``RankTable.row``, ``from_edges``) with the library.
+
+
+def sample_neighbors_one(rt, u, k, replace, rng):
+    """k draws from u's row: inverse CDF with replacement, else min(k, d)
+    distinct neighbours by exponential keys."""
+    ids, probs = rt.row(u)
+    d = ids.shape[0]
+    if k == 0 or d == 0:
+        return np.zeros(0, dtype=np.int64)
+    if replace:
+        idx = np.searchsorted(np.cumsum(probs), rng.random(k), side="right")
+        return ids[np.minimum(idx, d - 1)]
+    keys = -np.log(rng.random(d)) / probs
+    return ids[np.argsort(keys, kind="stable")[: min(k, d)]]
+
+
+def sample_frontier_loop(rt, frontier, k, replace, rng):
+    """(which, picks) for a frontier, one vertex at a time."""
+    which, picks = [], []
+    for i, u in enumerate(frontier):
+        got = sample_neighbors_one(rt, int(u), k, replace, rng)
+        which += [i] * got.size
+        picks += got.tolist()
+    return np.asarray(which, dtype=np.int64), np.asarray(picks, dtype=np.int64)
+
+
+def walk_edges_loop(rt, seeds, steps, rng):
+    """Edges of one walk per seed, walked seed by seed, step by step."""
+    edges = []
+    for s in seeds:
+        cur = int(s)
+        for _ in range(steps):
+            picks = sample_neighbors_one(rt, cur, 1, True, rng)
+            if picks.size == 0:
+                break
+            edges.append((cur, int(picks[0])))
+            cur = int(picks[0])
+    return edges
+
+
+def build_subgraph_dict(g, seeds, edges, layers=None):
+    """Subgraph fields by a dict remap of global to local ids, edge by edge.
+
+    Returns (parent_ids, local CSR graph, seed_mask, local layers or None).
+    """
+    from ags.graph import from_edges
+
+    seeds = np.asarray(list(seeds), dtype=np.int64)
+    edge_arr = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    node_ids = np.unique(np.concatenate([seeds, edge_arr.ravel()]))
+    local_of = {int(gid): i for i, gid in enumerate(node_ids)}
+    lsrc = [local_of[int(u)] for u in edge_arr[:, 0]]
+    ldst = [local_of[int(v)] for v in edge_arr[:, 1]]
+    local = from_edges(len(node_ids), lsrc, ldst, directed=True)
+    seed_mask = np.zeros(len(node_ids), dtype=bool)
+    for s in seeds:
+        seed_mask[local_of[int(s)]] = True
+    local_layers = None
+    if layers is not None:
+        local_layers = tuple(
+            np.asarray(
+                [(local_of[int(u)], local_of[int(v)]) for u, v in layer],
+                dtype=np.int64,
+            ).reshape(-1, 2)
+            for layer in layers
+        )
+    return node_ids, local, seed_mask, local_layers
+
+
+def edge_weights_dict(g, rt):
+    """Each directed edge's PMF mass, looked up row by row through a dict."""
+    w = np.zeros(g.m, dtype=np.float64)
+    for u in range(g.n):
+        lo, hi = int(g.offsets[u]), int(g.offsets[u + 1])
+        ids, probs = rt.row(u)
+        pos = {int(v): i for i, v in enumerate(ids)}
+        w[lo:hi] = probs[[pos[int(v)] for v in g.targets[lo:hi]]]
+    return w
+
+
+# ---------------------------------------------------------- aggregation
+
+
+def mean_aggregate_add_at(g, h):
+    """Mean of each node's out-neighbour rows of h, scattered by np.add.at."""
+    counts = np.diff(g.offsets).astype(np.float64)
+    src = np.repeat(np.arange(g.n), np.diff(g.offsets))
+    agg = np.zeros_like(h)
+    np.add.at(agg, src, h[g.targets])
+    nz = counts > 0.0
+    agg[nz] /= counts[nz, None]
+    return agg
+
+
+def mean_aggregate_grad_add_at(g, d_agg):
+    """d(loss)/dh given d(loss)/d(mean aggregate), scattered by np.add.at."""
+    counts = np.diff(g.offsets).astype(np.float64)
+    src = np.repeat(np.arange(g.n), np.diff(g.offsets))
+    d_h = np.zeros_like(d_agg)
+    np.add.at(d_h, g.targets, d_agg[src] / counts[src, None])
+    return d_h

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from oracles import central_difference_grads, max_relative_error
+from oracles import (
+    central_difference_grads,
+    max_relative_error,
+    mean_aggregate_add_at,
+    mean_aggregate_grad_add_at,
+)
 
 import ags.demo as D
 import ags.graph as G
@@ -96,6 +101,70 @@ class TestForwardChannel:
         sub = G.build_subgraph(g, [0], [(0, 1)])
         with pytest.raises(ValueError, match="width"):
             D.forward_channel(identity_layers(3), sub, np.ones((2, 2)))
+
+
+def sampled_sub(seed, replace):
+    rng = np.random.default_rng(seed)
+    g = random_graph(seed, n=60, m=240)
+    rt = R.rank_by_similarity(g, rng.normal(size=(g.n, 3)))
+    seeds = rng.choice(g.n, size=12, replace=False)
+    return g, SA.node_sample_khop(g, rt, seeds, [4, 3], SA.rng_for(seed), replace)
+
+
+def random_layers(rng, dims):
+    return [
+        D.SageLayer(
+            w_self=rng.normal(size=(dims[i + 1], dims[i])),
+            w_neigh=rng.normal(size=(dims[i + 1], dims[i])),
+            b=rng.normal(size=dims[i + 1]),
+        )
+        for i in range(len(dims) - 1)
+    ]
+
+
+class TestAggregationOracle:
+    """Segment-sum aggregation against an np.add.at scatter, to 1e-12."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_forward_and_backward_match_add_at(self, seed):
+        g, sub = sampled_sub(seed, replace=seed % 2 == 0)
+        rng = np.random.default_rng(100 + seed)
+        x = rng.normal(size=(g.n, 5))
+        layers = random_layers(rng, [5, 7, 6])
+        out, cache = D.forward_channel(layers, sub, x, return_cache=True)
+        layer_cache, seeds = cache
+        for h_in, agg, _ in layer_cache:
+            assert np.allclose(
+                agg, mean_aggregate_add_at(sub.graph, h_in), rtol=1e-12, atol=1e-12
+            )
+
+        d_seeds = rng.normal(size=out.shape)
+        grads = D.backward_channel(layers, sub, cache, d_seeds)
+        # the same chain rule, with the oracle scatter for the aggregate
+        d_h = np.zeros((sub.n, out.shape[1]))
+        d_h[seeds] = d_seeds
+        for i in range(len(layers) - 1, -1, -1):
+            h_in, agg, z = layer_cache[i]
+            dz = d_h * (z > 0.0)
+            want = (dz.T @ h_in, dz.T @ agg, dz.sum(axis=0))
+            for a, b in zip(grads[i], want):
+                assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+            d_h = dz @ layers[i].w_self + mean_aggregate_grad_add_at(
+                sub.graph, dz @ layers[i].w_neigh
+            )
+
+    def test_isolated_rows_and_empty_graph(self):
+        # rows 1, 2 and 4 aggregate nothing; row 3 aggregates its self-loop
+        g = G.from_edges(5, [0, 0, 3], [1, 2, 3], directed=True)
+        sub = G.build_subgraph(g, [0, 3, 4], g.edge_array())
+        x = np.random.default_rng(1).normal(size=(g.n, 3))
+        layers = [D.SageLayer(np.eye(3), np.eye(3), np.zeros(3))]
+        _, (cache, _) = D.forward_channel(layers, sub, x, return_cache=True)
+        h_in, agg, _ = cache[0]
+        assert np.allclose(agg, mean_aggregate_add_at(sub.graph, h_in), rtol=1e-12, atol=1e-12)
+        empty = G.build_subgraph(g, [4], [])
+        out = D.forward_channel(layers, empty, np.ones((5, 3)))
+        assert np.array_equal(out, np.ones((1, 3)))
 
 
 class TestForwardDual:

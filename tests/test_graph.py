@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import build_subgraph_dict
 
 from ags import graph as G
 
@@ -150,6 +151,38 @@ class TestSubgraph:
         assert sg.layers[0].tolist() == [[0, 1]]
         assert sg.layers[1].tolist() == [[1, 2]]
 
+    def test_matches_dict_remap_oracle(self):
+        rng = np.random.default_rng(11)
+        for trial in range(200):
+            n = int(rng.integers(1, 40))
+            g = G.from_edges(n, [], [], directed=True)
+            seeds = rng.integers(0, n, size=int(rng.integers(0, 6)))
+            edges = rng.integers(0, n, size=(int(rng.integers(0, 60)), 2))
+            cut = int(rng.integers(0, edges.shape[0] + 1))
+            layers = [edges[:cut], edges[cut:]] if trial % 2 else None
+            got = G.build_subgraph(g, seeds, edges, layers=layers)
+            ids, local, mask, local_layers = build_subgraph_dict(
+                g, seeds, edges, layers
+            )
+            assert np.array_equal(got.parent_ids, ids)
+            assert np.array_equal(got.graph.offsets, local.offsets)
+            assert np.array_equal(got.graph.targets, local.targets)
+            assert got.graph.n == local.n and got.graph.directed
+            assert np.array_equal(got.seed_mask, mask)
+            if layers is None:
+                assert got.layers is None
+            else:
+                assert len(got.layers) == len(local_layers)
+                for a, b in zip(got.layers, local_layers):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_layer_endpoint_outside_node_set_rejected(self):
+        g = G.from_edges(4, [0, 1, 2], [1, 2, 3])
+        with pytest.raises(ValueError, match="not a subgraph node"):
+            G.build_subgraph(g, [0], [(0, 1)], layers=[[(2, 3)]])
+        with pytest.raises(ValueError, match="out of range"):
+            G.build_subgraph(g, [0], [(0, 1)], layers=[[(0, 9)]])
+
 
 def toy_table(n=4):
     # Two nodes with neighbors, two isolated rows.
@@ -245,3 +278,46 @@ class TestRankTablePersistence:
         )
         with pytest.raises(ValueError, match="permutation"):
             bad.validate(g)
+
+
+class TestRankTableCdf:
+    def test_rows_end_at_row_plus_one(self):
+        rt = toy_table()
+        assert rt.cdf.tolist() == [0.75, 1.0, 1.5, 1.75, 2.0]
+        assert not rt.cdf.flags.writeable
+
+    def test_row_mass_short_of_one_stays_in_row(self):
+        # rows summing to 1 - 1e-9 end exactly at u + 1 after normalising
+        base = toy_table()
+        rt = G.make_rank_table(
+            base.mode, base.pmf_kind, base.pmf_params, base.offsets,
+            base.ranked_ids, base.probs * (1.0 - 1e-9),
+        )
+        ends = rt.offsets[1:][np.diff(rt.offsets) > 0] - 1
+        assert rt.cdf[ends].tolist() == [1.0, 2.0]
+        assert np.all(np.diff(rt.cdf) >= 0.0)
+
+    def test_not_saved(self, tmp_path):
+        rt = toy_table()
+        path = str(tmp_path / "t.agsr")
+        G.save_rank_table(rt, path)
+        size = (tmp_path / "t.agsr").stat().st_size
+        assert size == G.RANK_TABLE_HEADER_BYTES + (rt.n + 1) * 8 + rt.m * 16 + 4
+        assert np.array_equal(G.load_rank_table(path).cdf, rt.cdf)
+
+    @pytest.mark.parametrize(
+        "offsets, probs",
+        [
+            ([0, 2, 5, 5, 5], [0.0, 0.0, 0.5, 0.25, 0.25]),  # zero-mass row
+            ([0, 2, 5, 5, 5], [np.nan, 1.0, 0.5, np.inf, -0.25]),
+            ([0, 4, 2, 5, 5], [0.75, 0.25, 0.5, 0.25, 0.25]),  # decreasing
+            ([3, 9, 9, 9, 2], [0.75, 0.25, 0.5, 0.25, 0.25]),  # past the end
+        ],
+    )
+    def test_invalid_tables_construct_then_fail_validate(self, offsets, probs):
+        rt = G.make_rank_table(
+            "similar", "step", (0.0,) * 6, offsets, [1, 2, 0, 2, 3], probs
+        )
+        assert rt.cdf.shape == (5,)
+        with pytest.raises(ValueError):
+            rt.validate()

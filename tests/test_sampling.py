@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from oracles import (
+    build_subgraph_dict,
+    edge_weights_dict,
+    sample_frontier_loop,
+    walk_edges_loop,
+)
 
 import ags.graph as G
 import ags.ranking as R
@@ -98,13 +104,118 @@ class TestSampleNeighbors:
             hits_bottom += bottom in out
         assert hits_top > hits_bottom * 2
 
-    def test_exclude_self(self):
-        g = G.from_edges(2, [0, 0], [0, 1], directed=False)
-        x = np.ones((2, 2))
-        rt = R.rank_by_similarity(g, x)
-        rng = SA.rng_for(7)
-        out = SA.sample_neighbors(rt, 0, 50, True, rng, exclude_self=True)
-        assert np.all(out == 1)
+
+class TestSampleFrontier:
+    """The frontier-wide core against per-row PMFs and the per-vertex oracle."""
+
+    @staticmethod
+    def mixed_table():
+        # row 0 isolated, row 1 degree 1, row 3 has a self-loop, row 6 (the
+        # last row, n - 1) has degree 3
+        g = G.from_edges(
+            7, [1, 3, 3, 3, 6, 6, 6], [2, 3, 4, 5, 4, 5, 2], directed=False
+        )
+        x = np.random.default_rng(8).normal(size=(7, 3))
+        rt = R.rank_by_similarity(g, x, pmf=R.PmfSpec(kind="exponential"))
+        return g, rt
+
+    def test_with_replacement_row_frequencies(self):
+        g, rt = self.mixed_table()
+        assert g.degree(0) == 0 and g.degree(1) == 1
+        assert g.has_edge(3, 3) and g.degree(6) == 3
+        frontier = np.array([0, 1, 3, 6])
+        draws = 100_000
+        which, picks = SA.sample_frontier(rt, frontier, draws, True, SA.rng_for(9))
+        assert np.array_equal(which, np.repeat([1, 2, 3], draws))
+        for i, u in enumerate(frontier.tolist()):
+            got = picks[which == i]
+            ids, probs = rt.row(u)
+            assert np.all(np.isin(got, ids))
+            for v, p in zip(ids.tolist(), probs):
+                assert abs(np.mean(got == v) - p) < 0.01, (u, v)
+
+    def test_largest_uniform_stays_in_row(self):
+        # U just below 1 picks each row's last entry, even for rows whose
+        # mass falls short of 1, and never spills into the next row
+        class TopRng:
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        g, base = self.mixed_table()
+        rt = G.make_rank_table(
+            base.mode, base.pmf_kind, base.pmf_params, base.offsets,
+            base.ranked_ids, base.probs * (1.0 - 1e-9),
+        )
+        frontier = np.arange(g.n)
+        which, picks = SA.sample_frontier(rt, frontier, 3, True, TopRng())
+        for i, v in zip(which.tolist(), picks.tolist()):
+            assert v == rt.row(int(frontier[i]))[0][-1]
+
+    def test_without_replacement_takes_min_k_d_distinct(self):
+        rng = np.random.default_rng(10)
+        g = random_graph(rng, n=30, m=90)
+        x = rng.normal(size=(g.n, 3))
+        rt = R.rank_by_similarity(g, x, pmf=R.PmfSpec(kind="step"))
+        frontier = np.concatenate([np.arange(g.n), [4, 4, 0]])  # repeats
+        for k in (0, 1, 3, 8, 50):
+            which, picks = SA.sample_frontier(rt, frontier, k, False, SA.rng_for(k))
+            assert np.all(np.diff(which) >= 0)
+            for i, u in enumerate(frontier.tolist()):
+                got = picks[which == i]
+                assert got.size == min(k, g.degree(u))
+                assert np.unique(got).size == got.size
+                assert np.all(np.isin(got, g.neighbors(u)))
+
+    def test_without_replacement_inclusion_matches_oracle(self):
+        _, rt = star_table(10, kind="exponential")
+        reps, k = 20_000, 3
+        frontier = np.zeros(reps, dtype=np.int64)  # one row, repeated
+        which, picks = SA.sample_frontier(rt, frontier, k, False, SA.rng_for(11))
+        assert np.array_equal(np.bincount(which), np.full(reps, k))
+        o_which, o_picks = sample_frontier_loop(rt, frontier, k, False, SA.rng_for(12))
+        assert np.array_equal(o_which, which)
+        got = np.bincount(picks, minlength=11) / reps
+        want = np.bincount(o_picks, minlength=11) / reps
+        # each inclusion frequency has a standard deviation below 0.0036
+        assert np.max(np.abs(got - want)) < 0.02
+        ids, _ = rt.row(0)
+        assert got[ids[0]] > got[ids[-1]]
+
+    def test_with_replacement_matches_oracle(self):
+        rng = np.random.default_rng(13)
+        g = random_graph(rng, n=12, m=30)
+        x = rng.normal(size=(g.n, 3))
+        rt = R.rank_by_similarity(g, x, pmf=R.PmfSpec(kind="linear"))
+        frontier = np.arange(g.n)
+        which, picks = SA.sample_frontier(rt, frontier, 20_000, True, SA.rng_for(14))
+        o_which, o_picks = sample_frontier_loop(
+            rt, frontier, 20_000, True, SA.rng_for(15)
+        )
+        assert np.array_equal(which, o_which)
+        for i in range(g.n):
+            a = np.bincount(picks[which == i], minlength=g.n) / 20_000
+            b = np.bincount(o_picks[o_which == i], minlength=g.n) / 20_000
+            assert np.max(np.abs(a - b)) < 0.02
+
+    def test_same_draws_as_per_vertex_loop(self):
+        # the generator is read vertex by vertex, as the loop reads it
+        rng = np.random.default_rng(19)
+        g = random_graph(rng, n=40, m=150)
+        rt = R.rank_by_similarity(g, rng.normal(size=(g.n, 3)))
+        frontier = np.concatenate([np.arange(g.n), [7, 7, 3]])
+        for replace in (True, False):
+            for k in (1, 4, 9):
+                got = SA.sample_frontier(rt, frontier, k, replace, SA.rng_for(k))
+                want = sample_frontier_loop(rt, frontier, k, replace, SA.rng_for(k))
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+
+    def test_deterministic(self):
+        g, rt = self.mixed_table()
+        for replace in (True, False):
+            a = SA.sample_frontier(rt, [6, 3, 1, 0], 2, replace, SA.rng_for(16))
+            b = SA.sample_frontier(rt, [6, 3, 1, 0], 2, replace, SA.rng_for(16))
+            assert all(np.array_equal(p, q) for p, q in zip(a, b))
 
 
 def hash7(s):
@@ -222,6 +333,38 @@ class TestWeightedRandomWalk:
         g, rt = star_table(2)
         with pytest.raises(ValueError, match="nonnegative"):
             SA.weighted_random_walk(g, rt, [0], -1, SA.rng_for(3))
+
+    def test_repeated_seeds_walk_independently(self):
+        g, rt = star_table(6)
+        sub = SA.weighted_random_walk(g, rt, [0, 0, 0, 0], 1, SA.rng_for(5))
+        assert sub.seeds_local().tolist() == [0]
+        assert 1 <= sub.graph.m <= 4
+
+    def test_walks_stay_on_edges(self):
+        rng = np.random.default_rng(7)
+        g = random_graph(rng, n=25, m=40)
+        rt = R.rank_by_similarity(g, rng.normal(size=(g.n, 3)))
+        seeds = rng.integers(0, g.n, size=30)
+        sub = SA.weighted_random_walk(g, rt, seeds, 6, SA.rng_for(8))
+        walkers = int(np.count_nonzero(g.degrees()[seeds]))
+        assert sub.graph.m <= 6 * walkers
+        for a, b in sub.graph.edge_array():
+            assert g.has_edge(int(sub.parent_ids[a]), int(sub.parent_ids[b]))
+
+    def test_same_walks_as_per_walk_loop(self):
+        # isolated seeds draw nothing; every other walk owns `steps` uniforms
+        rng = np.random.default_rng(9)
+        src, dst = rng.integers(0, 30, size=(2, 40))
+        g = G.from_edges(32, src, dst, directed=False)  # 30 and 31 isolated
+        rt = R.rank_by_similarity(g, rng.normal(size=(g.n, 3)))
+        seeds = np.concatenate([rng.integers(0, g.n, size=25), [31, 4, 30, 4]])
+        for steps in (0, 1, 5):
+            sub = SA.weighted_random_walk(g, rt, seeds, steps, SA.rng_for(steps))
+            edges = walk_edges_loop(rt, seeds, steps, SA.rng_for(steps))
+            ids, local, _, _ = build_subgraph_dict(g, seeds, edges)
+            assert np.array_equal(sub.parent_ids, ids)
+            assert np.array_equal(sub.graph.offsets, local.offsets)
+            assert np.array_equal(sub.graph.targets, local.targets)
 
     def test_star_leaf_frequencies(self):
         _, rt = star_table(5, kind="step")
@@ -414,3 +557,26 @@ class TestEdgeWeightsFromTable:
         lookup = {int(v): float(p) for v, p in zip(ids, probs)}
         for i, v in enumerate(g.neighbors(0)):
             assert w[int(g.offsets[0]) + i] == lookup[int(v)]
+
+    def test_bit_identical_to_dict_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            g = random_graph(rng, n=40, m=120)
+            x = rng.normal(size=(g.n, 4))
+            for rt in (R.rank_by_similarity(g, x), R.rank_by_diversity(g, x)):
+                w = SA.edge_weights_from_table(g, rt)
+                assert w.tobytes() == edge_weights_dict(g, rt).tobytes()
+
+    def test_table_of_another_graph_rejected(self):
+        rng = np.random.default_rng(18)
+        g = random_graph(rng, n=20, m=50)
+        other = random_graph(rng, n=20, m=50)
+        rt = R.rank_uniform(other)
+        with pytest.raises(ValueError, match="do not match"):
+            SA.edge_weights_from_table(g, rt)
+        # same row sizes, different neighbours
+        g2 = G.from_edges(4, [0, 2], [1, 3], directed=False)
+        rt2 = R.rank_uniform(G.from_edges(4, [0, 2], [3, 1], directed=False))
+        assert np.array_equal(rt2.offsets, g2.offsets)
+        with pytest.raises(ValueError, match="do not match"):
+            SA.edge_weights_from_table(g2, rt2)
