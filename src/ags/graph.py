@@ -388,21 +388,56 @@ class RankTable:
         return self.ranked_ids[lo:hi], self.probs[lo:hi]
 
     def validate(self, g: Graph | None = None) -> None:
+        """Raise ValueError unless this is a well-formed table.
+
+        Offsets must rise from 0 to m, ids lie in [0, n), masses be
+        finite and positive, and each non-empty row sum to 1 within
+        1e-9. With ``g``, each row must also be a permutation of g's
+        row (``graph_order``). Every check is one vectorized pass.
+        """
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.pmf_kind not in _PMF_KINDS:
             raise ValueError(f"unknown pmf kind {self.pmf_kind!r}")
-        if self.offsets[0] != 0 or self.offsets[-1] != self.m:
-            raise ValueError("offsets must start at 0 and end at m")
+        off = self.offsets
+        if off[0] != 0 or off[-1] != self.m or np.any(off[1:] < off[:-1]):
+            raise ValueError("offsets must rise from 0 to m")
+        ids = self.ranked_ids
+        if self.m and (ids.min() < 0 or ids.max() >= self.n):
+            raise ValueError("neighbor id out of range")
+        if not np.all(np.isfinite(self.probs)):
+            raise ValueError("every probability must be finite")
         if np.any(self.probs <= 0):
             raise ValueError("every probability must be positive")
-        for u in range(self.n):
-            ids, p = self.row(u)
-            if p.shape[0] and abs(p.sum() - 1.0) > 1e-9:
-                raise ValueError(f"row {u} does not sum to 1")
-            if g is not None:
-                if not np.array_equal(np.sort(ids), g.neighbors(u)):
-                    raise ValueError(f"row {u} is not a permutation of N(u)")
+        starts = off[:-1][off[1:] > off[:-1]]
+        if starts.size and np.any(np.abs(np.add.reduceat(self.probs, starts) - 1.0) > 1e-9):
+            raise ValueError("a row does not sum to 1")
+        if g is not None:
+            self.graph_order(g)
+
+    def check_rows(self, g: Graph) -> None:
+        """Raise ValueError unless n and the row offsets are g's.
+
+        O(n), cheap enough for every sampling call. A table ranked on
+        another graph with the same degree sequence still passes.
+        """
+        if self.n != g.n or not np.array_equal(self.offsets, g.offsets):
+            raise ValueError("rank table rows do not match the graph")
+
+    def graph_order(self, g: Graph) -> np.ndarray:
+        """The permutation with ``ranked_ids[order] == g.targets``.
+
+        It sorts every row by id. Raises ValueError unless each row is a
+        permutation of g's row, i.e. the table was ranked on g.
+        """
+        self.check_rows(g)
+        rows = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees())
+        order = np.lexsort((self.ranked_ids, rows))
+        if not np.array_equal(self.ranked_ids[order], g.targets):
+            raise ValueError(
+                "rank table rows do not match the graph: a row is not a permutation of N(u)"
+            )
+        return order
 
 
 def _shifted_cdf(offsets: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -486,6 +521,11 @@ def load_rank_table(path: str) -> RankTable:
     ranked = np.frombuffer(payload, dtype="<u8", count=m, offset=off).astype(np.int64)
     off += m * 8
     probs = np.frombuffer(payload, dtype="<f8", count=m, offset=off).astype(np.float64)
-    return make_rank_table(
-        _MODES[mode_b], _PMF_KINDS[pmf_b], params, offsets, ranked, probs
-    )
+    rt = make_rank_table(_MODES[mode_b], _PMF_KINDS[pmf_b], params, offsets, ranked, probs)
+    # a valid checksum does not make a valid table; ids past 2**63 turn
+    # negative as int64 and fail the range check
+    try:
+        rt.validate()
+    except ValueError as exc:
+        raise ValueError(f"corrupt rank table: {exc}") from None
+    return rt

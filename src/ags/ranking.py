@@ -6,8 +6,12 @@ by greedy submodular marginal gain over the egonet. Probabilities are
 then assigned from the rank alone (never from raw scores, which can be
 arbitrarily skewed), so both modes share the same PMF machinery.
 
-Ranking is local to each vertex: rows are independent and can be built
-by any number of workers with bit-identical results.
+Ranking is local to each vertex, but rows are built per degree group:
+all rows with the same candidate count are scored, or greedily ordered,
+in a few numpy calls over stacked arrays. Diversity rows run exact
+greedy across their group; its lowest-index tie-break is naive greedy's,
+so a row's bytes do not depend on its group, its block or the number of
+workers building the table.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from __future__ import annotations
 import heapq
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,6 +34,11 @@ SUBMODULAR_KINDS = (
     "feature_based",
     "graph_cut",
 )
+_KERNEL_KINDS = ("facility_location", "graph_cut")
+
+# Element budget of one block of a group's stacked arrays: it bounds the
+# memory that batching adds.
+BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -106,7 +116,7 @@ class SubmodularFn:
     def __post_init__(self) -> None:
         if self.kind not in SUBMODULAR_KINDS:
             raise ValueError(f"unknown submodular kind: {self.kind!r}")
-        if self.kind in ("facility_location", "graph_cut"):
+        if self.kind in _KERNEL_KINDS:
             k = self.kernel
             if k is None or k.ndim != 2 or k.shape[0] != k.shape[1]:
                 raise ValueError(f"{self.kind} requires a square kernel")
@@ -126,61 +136,72 @@ class SubmodularFn:
         return int(self.features.shape[0])
 
 
+# Gain states. Each holds one instance, or a stack of B instances along
+# a leading axis: kernels (..., c, c) or feature rows (..., c, f).
+# Candidates are addressed by flat index into the (instance, candidate)
+# pairs in row-major order, which for one instance is the candidate id.
+# ``gains(idx)`` is the marginal gain of the candidates idx: a slice for
+# one instance, or a (B, r) array, r candidates in each instance of a
+# stack. ``add(v)`` adds candidate v, an int or one per instance.
+
+
 class _FacilityState:
     # best[y] = max over chosen x of kernel[x, y]; empty set scores 0,
     # which makes the first gain a plain row sum on nonneg kernels
-    def __init__(self, fn: SubmodularFn) -> None:
-        self.k = fn.kernel
-        self.best = np.zeros(fn.kernel.shape[0])
+    def __init__(self, kernel: np.ndarray, lam: float) -> None:
+        self.k = kernel.reshape(-1, kernel.shape[-1])
+        self.best = np.zeros(kernel.shape[:-1])
 
-    def gain(self, v: int) -> float:
-        return float(np.maximum(self.k[v] - self.best, 0.0).sum())
+    def gains(self, idx) -> np.ndarray:
+        diff = self.k[idx] - self.best[..., None, :]
+        return np.maximum(diff, 0.0).sum(axis=-1)
 
-    def add(self, v: int) -> None:
+    def add(self, v) -> None:
         np.maximum(self.best, self.k[v], out=self.best)
 
 
 class _CoverageState:
-    def __init__(self, fn: SubmodularFn) -> None:
-        self.f = fn.features
-        self.cov = np.zeros(fn.features.shape[1])
+    def __init__(self, features: np.ndarray, lam: float) -> None:
+        self.f = features.reshape(-1, features.shape[-1])
+        self.cov = np.zeros(features.shape[:-2] + features.shape[-1:])
 
-    def gain(self, v: int) -> float:
-        before = np.minimum(self.cov, 1.0)
-        after = np.minimum(self.cov + self.f[v], 1.0)
-        return float((after - before).sum())
+    def gains(self, idx) -> np.ndarray:
+        before = np.minimum(self.cov, 1.0)[..., None, :]
+        after = np.minimum(self.cov[..., None, :] + self.f[idx], 1.0)
+        return (after - before).sum(axis=-1)
 
-    def add(self, v: int) -> None:
+    def add(self, v) -> None:
         self.cov += self.f[v]
 
 
 class _FeatureSqrtState:
-    def __init__(self, fn: SubmodularFn) -> None:
-        self.f = fn.features
-        self.sums = np.zeros(fn.features.shape[1])
+    def __init__(self, features: np.ndarray, lam: float) -> None:
+        self.f = features.reshape(-1, features.shape[-1])
+        self.sums = np.zeros(features.shape[:-2] + features.shape[-1:])
 
-    def gain(self, v: int) -> float:
-        return float((np.sqrt(self.sums + self.f[v]) - np.sqrt(self.sums)).sum())
+    def gains(self, idx) -> np.ndarray:
+        now = np.sqrt(self.sums)[..., None, :]
+        return (np.sqrt(self.sums[..., None, :] + self.f[idx]) - now).sum(axis=-1)
 
-    def add(self, v: int) -> None:
+    def add(self, v) -> None:
         self.sums += self.f[v]
 
 
 class _GraphCutState:
     # f(X) = lam * sum_{v in V} sum_{x in X} K[x,v] - sum_{x,y in X} K[x,y]
     # with the penalty over ordered pairs including the diagonal
-    def __init__(self, fn: SubmodularFn) -> None:
-        self.k = fn.kernel
-        self.lam = fn.lam
-        self.row_sums = fn.kernel.sum(axis=1)
-        self.cross = np.zeros(fn.kernel.shape[0])  # sum_{x in S} K[x, u]
+    def __init__(self, kernel: np.ndarray, lam: float) -> None:
+        self.k = kernel.reshape(-1, kernel.shape[-1])
+        self.lam_rows = lam * kernel.sum(axis=-1).ravel()
+        self.diag = np.diagonal(kernel, axis1=-2, axis2=-1).ravel()
+        self.cross = np.zeros(kernel.shape[:-1])  # sum_{x in S} K[x, u]
 
-    def gain(self, v: int) -> float:
-        return float(
-            self.lam * self.row_sums[v] - 2.0 * self.cross[v] - self.k[v, v]
-        )
+    def gains(self, idx) -> np.ndarray:
+        # O(1) per candidate, so taking every gain and indexing the
+        # result costs less than indexing three arrays
+        return (self.lam_rows - 2.0 * self.cross.ravel() - self.diag)[idx]
 
-    def add(self, v: int) -> None:
+    def add(self, v) -> None:
         self.cross += self.k[v]
 
 
@@ -193,7 +214,8 @@ _STATES = {
 
 
 def _make_state(fn: SubmodularFn):
-    return _STATES[fn.kind](fn)
+    data = fn.kernel if fn.kind in _KERNEL_KINDS else fn.features
+    return _STATES[fn.kind](data, fn.lam)
 
 
 def facility_location_gain(
@@ -257,13 +279,16 @@ def lazy_greedy(
     for v in sorted(chosen):
         state.add(v)
 
-    heap = [(-state.gain(v), v) for v in ground if v not in chosen]
+    def gain(v: int) -> float:
+        return float(state.gains(slice(v, v + 1))[0])
+
+    heap = [(-gain(v), v) for v in ground if v not in chosen]
     heapq.heapify(heap)
     order: list[int] = []
     gains: list[float] = []
     while heap:
         neg_stale, v = heapq.heappop(heap)
-        g_cur = state.gain(v)
+        g_cur = gain(v)
         if heap:
             top_stale, top_id = -heap[0][0], heap[0][1]
             if g_cur < top_stale or (g_cur == top_stale and top_id < v):
@@ -286,7 +311,14 @@ def _check_node_features(g: Graph, x) -> np.ndarray:
     return x
 
 
-def _similar_rows(
+def _blocks(rows: np.ndarray, per_row: int):
+    """Consecutive slices of ``rows`` holding at most BLOCK_ELEMENTS each."""
+    step = max(1, BLOCK_ELEMENTS // max(1, per_row))
+    for i in range(0, rows.size, step):
+        yield rows[i : i + step]
+
+
+def _rank_similar(
     g: Graph,
     x: np.ndarray,
     sim: str,
@@ -294,21 +326,56 @@ def _similar_rows(
     lo: int,
     hi: int,
 ) -> np.ndarray:
-    out = np.empty(g.offsets[hi] - g.offsets[lo], dtype=np.int64)
-    base = g.offsets[lo]
-    for u in range(lo, hi):
-        nbrs = g.neighbors(u)
-        if nbrs.shape[0] == 0:
-            continue
-        scores = similarity_row(x[nbrs], x[u], sim, model)
-        # primary key: descending score; secondary: ascending node id
-        order = np.lexsort((nbrs, -scores))
-        s, e = g.offsets[u] - base, g.offsets[u + 1] - base
-        out[s:e] = nbrs[order]
-    return out
+    """Ranked ids of rows lo..hi-1, scored one degree group at a time."""
+    offsets = g.offsets[lo : hi + 1]
+    base = int(offsets[0])
+    targets = g.targets[base : offsets[-1]]
+    deg = np.diff(offsets)
+    score = np.zeros(targets.size)
+    for d in np.unique(deg[deg > 0]):
+        for blk in _blocks(np.flatnonzero(deg == d), d * x.shape[1]):
+            idx = (offsets[blk] - base)[:, None] + np.arange(d)
+            score[idx] = similarity_row(x[targets[idx]], x[lo + blk], sim, model)
+    row = np.repeat(np.arange(deg.size), deg)
+    # within a row: descending score, then ascending node id
+    return targets[np.lexsort((targets, -score, row))]
 
 
-def _diverse_rows(
+def _kernel_or_features(xs, sim, fn_kind, model) -> np.ndarray:
+    if fn_kind in _KERNEL_KINDS:
+        return pairwise_kernel(xs, sim, model)
+    return xs
+
+
+def _exact_greedy(fn_kind: str, data: np.ndarray, lam: float) -> np.ndarray:
+    """Greedy order over each of B stacked egonets, all at once.
+
+    ``data`` is (B, c, c) kernels or (B, c, f) feature rows with the ego
+    last; the ego is the initial set. Each of the c - 1 steps takes the
+    fresh gain of every candidate not yet taken, so this is naive greedy.
+    ``left`` keeps the candidates not taken in ascending order, so
+    ``argmax`` picks the lowest node id among equal gains. Returns
+    (B, c - 1) local indices in pick order.
+    """
+    b, c = data.shape[:2]
+    rows = np.arange(b)
+    first = rows * c  # flat index of each instance's candidate 0
+    state = _STATES[fn_kind](data, lam)
+    state.add(first + c - 1)
+    pos = np.arange(c - 1)
+    left = first[:, None] + pos
+    order = np.empty((b, c - 1), dtype=np.int64)
+    for step in range(c - 1):
+        pick = state.gains(left).argmax(axis=1)
+        order[:, step] = v = left[rows, pick]
+        state.add(v)
+        # drop each instance's pick, keeping the rest in order
+        shift = pos[: c - 2 - step] >= pick[:, None]
+        left = np.where(shift, left[:, 1:], left[:, :-1])
+    return order - first[:, None]
+
+
+def _rank_diverse(
     g: Graph,
     x: np.ndarray,
     sim: str,
@@ -318,57 +385,64 @@ def _diverse_rows(
     lo: int,
     hi: int,
 ) -> np.ndarray:
-    out = np.empty(g.offsets[hi] - g.offsets[lo], dtype=np.int64)
-    base = g.offsets[lo]
-    for u in range(lo, hi):
-        nbrs = g.neighbors(u)
-        if nbrs.shape[0] == 0:
-            continue
-        others = nbrs[nbrs != u]  # ascending ids: local index order
-        # the ego anchors the selection; a self-loop candidate is part of
-        # the initial set already, so it goes last with gain 0
-        a_ids = np.concatenate([others, [u]])
-        ego_local = others.shape[0]
-        if fn_kind in ("facility_location", "graph_cut"):
-            kernel = pairwise_kernel(x[a_ids], sim, model)
-            fn = SubmodularFn(kind=fn_kind, kernel=kernel, lam=lam)
-        else:
-            fn = SubmodularFn(kind=fn_kind, features=x[a_ids])
-        order, _ = lazy_greedy(range(a_ids.shape[0]), {ego_local}, fn)
-        ranked = a_ids[order]
-        if others.shape[0] != nbrs.shape[0]:
-            ranked = np.concatenate([ranked, [u]])
-        s, e = g.offsets[u] - base, g.offsets[u + 1] - base
-        out[s:e] = ranked
+    """Ranked ids of rows lo..hi-1, one candidate-count group at a time.
+
+    A row's candidates are its neighbors other than the ego, in id
+    order, then the ego, which anchors the selection. A self-loop
+    belongs to the initial set already, so it goes last with gain 0.
+    """
+    offsets = g.offsets[lo : hi + 1]
+    base = int(offsets[0])
+    targets = g.targets[base : offsets[-1]]
+    deg = np.diff(offsets)
+    row = np.repeat(np.arange(deg.size), deg)
+    loop = targets == lo + row
+    others = targets[~loop]
+    k = deg - np.bincount(row[loop], minlength=deg.size)  # non-ego neighbors
+    first = np.cumsum(k) - k  # each row's start in ``others``
+    has_loop = deg > k
+    out = np.empty_like(targets)
+    out[offsets[1:][has_loop] - base - 1] = lo + np.flatnonzero(has_loop)
+    for kk in np.unique(k[k > 0]):
+        rows = np.flatnonzero(k == kk)
+        cand = np.empty((rows.size, kk + 1), dtype=np.int64)
+        cand[:, :kk] = others[first[rows][:, None] + np.arange(kk)]
+        cand[:, kk] = lo + rows
+        c = kk + 1
+        order = np.concatenate([
+            _exact_greedy(
+                fn_kind, _kernel_or_features(x[cand[blk]], sim, fn_kind, model), lam
+            )
+            for blk in _blocks(np.arange(rows.size), c * (c + x.shape[1]))
+        ])
+        pos = (offsets[rows] - base)[:, None] + np.arange(kk)
+        out[pos] = np.take_along_axis(cand, order, axis=1)
     return out
 
 
-def _sim_chunk(args) -> np.ndarray:
-    g_args, x, sim, model, lo, hi = args
-    return _similar_rows(Graph(*g_args), x, sim, model, lo, hi)
-
-
-def _div_chunk(args) -> np.ndarray:
-    g_args, x, sim, fn_kind, model, lam, lo, hi = args
-    return _diverse_rows(Graph(*g_args), x, sim, fn_kind, model, lam, lo, hi)
-
-
-def _chunk_bounds(n: int, workers: int) -> list[tuple[int, int]]:
-    size = max(1, -(-n // max(1, workers)))
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+def _build_rows(builder, g: Graph, rest: tuple, workers: int) -> np.ndarray:
+    """Ranked ids of every row; ``workers`` > 1 splits rows into chunks."""
+    if workers <= 1 or g.n < 2:
+        return builder(g, *rest, 0, g.n)
+    size = -(-g.n // workers)
+    los = range(0, g.n, size)
+    his = [min(lo + size, g.n) for lo in los]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(partial(builder, g, *rest), los, his)))
 
 
 def _probs_for(g: Graph, spec: PmfSpec) -> np.ndarray:
-    probs = np.empty(g.m, dtype=np.float64)
-    for u in range(g.n):
-        lo, hi = int(g.offsets[u]), int(g.offsets[u + 1])
-        if hi > lo:
-            probs[lo:hi] = pmf_from_ranks(hi - lo, spec)
-    return probs
-
-
-def _graph_args(g: Graph):
-    return (g.n, g.offsets, g.targets, g.weights, g.directed)
+    """Every entry's PMF mass: one pmf_from_ranks per distinct degree."""
+    deg = g.degrees()
+    sizes = np.unique(deg[deg > 0])
+    if sizes.size == 0:
+        return np.zeros(0, dtype=np.float64)
+    pmfs = [pmf_from_ranks(int(d), spec) for d in sizes]
+    start = np.zeros(int(sizes[-1]) + 1, dtype=np.int64)
+    start[sizes] = np.cumsum(sizes) - sizes  # each PMF's offset in the concatenation
+    row = np.repeat(np.arange(g.n), deg)
+    rank = np.arange(g.m) - g.offsets[row]
+    return np.concatenate(pmfs)[start[deg[row]] + rank]
 
 
 def rank_by_similarity(
@@ -391,14 +465,7 @@ def rank_by_similarity(
     if sim == "learned" and model is None:
         raise ValueError("learned similarity requires a model")
     spec = pmf or PmfSpec()
-    if workers <= 1 or g.n < 2:
-        ranked = _similar_rows(g, x, sim, model, 0, g.n)
-    else:
-        bounds = _chunk_bounds(g.n, workers)
-        args = [(_graph_args(g), x, sim, model, lo, hi) for lo, hi in bounds]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_sim_chunk, args))
-        ranked = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    ranked = _build_rows(_rank_similar, g, (x, sim, model), workers)
     return make_rank_table(
         "similar", spec.kind, spec.params(), g.offsets, ranked, _probs_for(g, spec)
     )
@@ -430,17 +497,9 @@ def rank_by_diversity(
     if fn_kind in ("max_coverage", "feature_based") and np.any(x < 0.0):
         raise ValueError(f"{fn_kind} requires nonnegative features")
     spec = pmf or PmfSpec()
-    if workers <= 1 or g.n < 2:
-        ranked = _diverse_rows(g, x, sim, fn_kind, model, lam, 0, g.n)
-    else:
-        bounds = _chunk_bounds(g.n, workers)
-        args = [
-            (_graph_args(g), x, sim, fn_kind, model, lam, lo, hi)
-            for lo, hi in bounds
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_div_chunk, args))
-        ranked = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    ranked = _build_rows(
+        _rank_diverse, g, (x, sim, fn_kind, model, lam), workers
+    )
     return make_rank_table(
         "diverse", spec.kind, spec.params(), g.offsets, ranked, _probs_for(g, spec)
     )

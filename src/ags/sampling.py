@@ -133,6 +133,8 @@ def node_sample_khop(
     tabs = [tables] if single else list(tables)
     if not 1 <= len(tabs) <= 2:
         raise ValueError("expected one or two rank tables")
+    for rt in tabs:
+        rt.check_rows(g)
     seed_arr = unique_ids(np.asarray(seeds, dtype=np.int64).ravel())
     if seed_arr.size == 0:
         raise ValueError("empty seed set")
@@ -169,6 +171,7 @@ def weighted_random_walk(
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    rt.check_rows(g)
     seed_arr = np.asarray(seeds, dtype=np.int64).ravel()
     if seed_arr.size == 0:
         raise ValueError("empty seed set")
@@ -196,13 +199,7 @@ def edge_weights_from_table(g: Graph, rt: RankTable) -> np.ndarray:
     Raises ValueError when a table row is not a permutation of the
     graph's row, i.e. the table was built for another graph.
     """
-    if not np.array_equal(rt.offsets, g.offsets):
-        raise ValueError("rank table rows do not match the graph")
-    rows = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees())
-    order = np.lexsort((rt.ranked_ids, rows))
-    if not np.array_equal(rt.ranked_ids[order], g.targets):
-        raise ValueError("rank table rows do not match the graph")
-    return rt.probs[order]
+    return rt.probs[rt.graph_order(g)]
 
 
 @dataclass

@@ -41,7 +41,7 @@ def cosine(xu: np.ndarray, xv: np.ndarray) -> float:
 
 def _check_features(xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[0] < 1:
+    if xs.ndim < 2 or xs.shape[-2] < 1:
         raise ValueError("need a 2-d feature array with at least one row")
     if not np.all(np.isfinite(xs)):
         raise ValueError("non-finite feature value")
@@ -49,11 +49,29 @@ def _check_features(xs: np.ndarray) -> np.ndarray:
 
 
 def _unit_rows(xs: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(xs, axis=1, keepdims=True)
+    norms = np.linalg.norm(xs, axis=-1, keepdims=True)
     safe = np.where(norms == 0.0, 1.0, norms)
     unit = xs / safe
-    unit[norms[:, 0] == 0.0] = 0.0
+    unit[norms[..., 0] == 0.0] = 0.0
     return unit
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def _one_at_a_time(fn, xs: np.ndarray, *rest, **kwargs) -> np.ndarray:
+    """``fn`` on each point set of a stack, results stacked back.
+
+    The learned kinds take this path: a BLAS matrix product's bits for
+    one row depend on how many rows share the call, so the model sees
+    one point set per call, as it would for a lone set.
+    """
+    lead = xs.shape[:-2]
+    sets = xs.reshape(-1, *xs.shape[-2:])
+    others = [r.reshape(-1, *r.shape[len(lead):]) for r in rest]
+    outs = [fn(s, *(r[i] for r in others), **kwargs) for i, s in enumerate(sets)]
+    return np.stack(outs).reshape(*lead, *outs[0].shape)
 
 
 def pairwise_kernel(
@@ -65,22 +83,31 @@ def pairwise_kernel(
     maxD - D with D the squared Euclidean distance over this same set;
     learned entries come from the model and the diagonal uses the model's
     own self-similarity.
+
+    ``xs`` may carry leading batch axes: (..., c, f) gives (..., c, c),
+    one kernel per stacked point set. Each kernel has the same bits as a
+    call on its point set alone: numpy hands every matrix of a stack to
+    the BLAS routine a lone matrix gets, and the learned model runs one
+    point set at a time.
     """
     xs = _check_features(xs)
     if kind == "cosine":
         unit = _unit_rows(xs)
-        k = (unit @ unit.T + 1.0) / 2.0
-        return (k + k.T) / 2.0
+        k = (unit @ _t(unit) + 1.0) / 2.0
+        return (k + _t(k)) / 2.0
     if kind == "neg_euclidean":
-        sq = np.sum(xs * xs, axis=1)
-        d = sq[:, None] + sq[None, :] - 2.0 * (xs @ xs.T)
+        sq = np.sum(xs * xs, axis=-1)
+        d = sq[..., :, None] + sq[..., None, :] - 2.0 * (xs @ _t(xs))
         np.maximum(d, 0.0, out=d)
-        d = (d + d.T) / 2.0
-        np.fill_diagonal(d, 0.0)
-        return float(d.max()) - d
+        d = (d + _t(d)) / 2.0
+        diag = np.arange(d.shape[-1])
+        d[..., diag, diag] = 0.0
+        return d.max(axis=(-2, -1), keepdims=True) - d
     if kind == "learned":
         if model is None:
             raise ValueError("learned kernel requires a model")
+        if xs.ndim > 2:
+            return _one_at_a_time(pairwise_kernel, xs, kind=kind, model=model)
         n = xs.shape[0]
         iu, ju = np.triu_indices(n)
         vals = predict_pairs(model, xs[iu], xs[ju])
@@ -101,6 +128,9 @@ def similarity_row(
 
     Uses the same conventions as :func:`pairwise_kernel`; for
     neg_euclidean the max-shift is taken over this row's distances.
+    Leading batch axes score a stack of rows at once: ``xs`` of shape
+    (..., d, f) against ``x_t`` of shape (..., f) gives (..., d), each
+    row with the bits of a call on that row alone.
     """
     xs = _check_features(xs)
     x_t = np.asarray(x_t, dtype=np.float64)
@@ -108,16 +138,20 @@ def similarity_row(
         raise ValueError("non-finite feature value")
     if kind == "cosine":
         unit = _unit_rows(xs)
-        nt = float(np.linalg.norm(x_t))
-        ut = x_t / nt if nt > 0.0 else np.zeros_like(x_t)
-        return (unit @ ut + 1.0) / 2.0
+        col = x_t[..., :, None]
+        # a (1, f) @ (f, 1) product is the dot product np.linalg.norm takes
+        nt = np.sqrt(_t(col) @ col)[..., 0]
+        ut = np.where(nt > 0.0, x_t / np.where(nt > 0.0, nt, 1.0), 0.0)
+        return ((unit @ ut[..., :, None])[..., 0] + 1.0) / 2.0
     if kind == "neg_euclidean":
-        diff = xs - x_t
-        d = np.sum(diff * diff, axis=1)
-        return float(d.max()) - d
+        diff = xs - x_t[..., None, :]
+        d = np.sum(diff * diff, axis=-1)
+        return d.max(axis=-1, keepdims=True) - d
     if kind == "learned":
         if model is None:
             raise ValueError("learned similarity requires a model")
+        if xs.ndim > 2:
+            return _one_at_a_time(similarity_row, xs, x_t, kind=kind, model=model)
         tiled = np.broadcast_to(x_t, xs.shape)
         return predict_pairs(model, xs, tiled)
     raise ValueError(f"unknown similarity kind: {kind!r}")

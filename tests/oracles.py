@@ -147,3 +147,89 @@ def mean_aggregate_grad_add_at(g, d_agg):
     d_h = np.zeros_like(d_agg)
     np.add.at(d_h, g.targets, d_agg[src] / counts[src, None])
     return d_h
+
+
+# -------------------------------------------------------------- ranking
+#
+# Row-by-row loops, the way tables were ranked before degree groups:
+# one similarity_row call or one lazy_greedy run per vertex.
+
+
+def similar_rows_loop(g, x, sim, model=None):
+    """Similarity-ranked ids of every row: descending score, then id."""
+    from ags.similarity import similarity_row
+
+    out = np.empty(g.m, dtype=np.int64)
+    for u in range(g.n):
+        nbrs = g.neighbors(u)
+        if nbrs.shape[0] == 0:
+            continue
+        scores = similarity_row(x[nbrs], x[u], sim, model)
+        out[g.offsets[u] : g.offsets[u + 1]] = nbrs[np.lexsort((nbrs, -scores))]
+    return out
+
+
+def diverse_rows_loop(g, x, sim, fn_kind, model=None, lam=2.0, greedy=None):
+    """Greedy-ranked ids of every row, one egonet at a time.
+
+    The ego anchors the selection as the initial set; a self-loop goes
+    last. ``greedy`` defaults to the library's lazy_greedy.
+    """
+    from ags.ranking import SubmodularFn, lazy_greedy
+    from ags.similarity import pairwise_kernel
+
+    greedy = greedy or lazy_greedy
+    out = np.empty(g.m, dtype=np.int64)
+    for u in range(g.n):
+        nbrs = g.neighbors(u)
+        if nbrs.shape[0] == 0:
+            continue
+        others = nbrs[nbrs != u]
+        a_ids = np.concatenate([others, [u]])
+        if fn_kind in ("facility_location", "graph_cut"):
+            kernel = pairwise_kernel(x[a_ids], sim, model)
+            fn = SubmodularFn(kind=fn_kind, kernel=kernel, lam=lam)
+        else:
+            fn = SubmodularFn(kind=fn_kind, features=x[a_ids], lam=lam)
+        order, _ = greedy(range(a_ids.shape[0]), {others.shape[0]}, fn)
+        ranked = a_ids[np.asarray(order, dtype=np.int64)]
+        if others.shape[0] != nbrs.shape[0]:
+            ranked = np.concatenate([ranked, [u]])
+        out[g.offsets[u] : g.offsets[u + 1]] = ranked
+    return out
+
+
+def naive_state_greedy(ground, initial, fn):
+    """Greedy that re-evaluates every remaining candidate at every step.
+
+    Gains come from the library's incremental states, one candidate per
+    call, so they carry the same float bits as lazy_greedy's; ties go to
+    the smallest id.
+    """
+    from ags.ranking import _make_state
+
+    state = _make_state(fn)
+    chosen = sorted(set(initial))
+    for v in chosen:
+        state.add(v)
+    remaining = sorted(set(ground) - set(chosen))
+    order = []
+    while remaining:
+        gains = [float(state.gains(slice(v, v + 1))[0]) for v in remaining]
+        best = remaining[int(np.argmax(gains))]
+        order.append(best)
+        remaining.remove(best)
+        state.add(best)
+    return order, None
+
+
+def probs_loop(g, spec):
+    """Every entry's PMF mass, one pmf_from_ranks call per row."""
+    from ags.ranking import pmf_from_ranks
+
+    probs = np.empty(g.m, dtype=np.float64)
+    for u in range(g.n):
+        lo, hi = int(g.offsets[u]), int(g.offsets[u + 1])
+        if hi > lo:
+            probs[lo:hi] = pmf_from_ranks(hi - lo, spec)
+    return probs

@@ -297,6 +297,41 @@ class TestSampleCommands:
         assert "sample" in report
 
 
+class TestTableOfAnotherGraph:
+    """A table ranked on another graph with the same n exits 1."""
+
+    @pytest.fixture(scope="class")
+    def other_table(self, workdir):
+        base = ["--features", p(workdir, "x.txt"), "--labels", p(workdir, "y.txt")]
+        assert cli.main(["synth", *base, "--hn", "0.3", "--degree", "8",
+                         "--seed", "8", "--out", p(workdir, "other.edges")]) == 0
+        assert cli.main(["rank", "--graph", p(workdir, "other.edges"),
+                         "--features", p(workdir, "x.txt"), "--mode", "similar",
+                         "--workers", "1", "--out", p(workdir, "other.agsr")]) == 0
+        assert load_rank_table(p(workdir, "other.agsr")).n == N
+        return p(workdir, "other.agsr")
+
+    def test_sample_node_exits_1(self, workdir, other_table, capsys):
+        assert cli.main(["sample", "node", *graph_flags(workdir),
+                         "--table", other_table, "--seeds", p(workdir, "seeds.txt"),
+                         "--fanouts", "4,2", "--out", p(workdir, "never5.json")]) == 1
+        assert "do not match" in capsys.readouterr().err
+
+    def test_sample_walk_exits_1(self, workdir, other_table, capsys):
+        assert cli.main(["sample", "walk", *graph_flags(workdir),
+                         "--table", other_table, "--seeds", p(workdir, "seeds.txt"),
+                         "--out", p(workdir, "never6.json")]) == 1
+        assert "do not match" in capsys.readouterr().err
+
+    def test_train_demo_exits_1(self, workdir, other_table, capsys):
+        assert cli.main(["train-demo", *graph_flags(workdir), *data_flags(workdir),
+                         "--table-sim", p(workdir, "sim.agsr"),
+                         "--table-div", other_table,
+                         "--channels", "2", "--epochs", "1",
+                         "--out", p(workdir, "never7.json")]) == 1
+        assert "do not match" in capsys.readouterr().err
+
+
 class TestLearnedRank:
     def test_learned_similarity_saves_model_sidecar(self, workdir):
         out = p(workdir, "learned.agsr")

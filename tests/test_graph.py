@@ -256,6 +256,52 @@ class TestRankTablePersistence:
         with pytest.raises(ValueError, match="version"):
             G.load_rank_table(str(path))
 
+    @pytest.mark.parametrize(
+        "part,index,value,match",
+        [
+            ("offsets", 0, 1, "offsets"),  # does not start at 0
+            ("offsets", 2, 1, "offsets"),  # decreases
+            ("offsets", 4, 4, "offsets"),  # ends short of m
+            ("ranked", 3, 4, "out of range"),  # id == n
+            ("ranked", 0, 2**63, "out of range"),  # negative once signed
+            ("probs", 1, float("nan"), "finite"),
+            ("probs", 1, float("inf"), "finite"),
+            ("probs", 2, 0.0, "positive"),
+            ("probs", 2, -0.5, "positive"),
+            ("probs", 4, 0.5, "sum to 1"),  # row 1 sums to 1.25
+        ],
+    )
+    def test_structure_checked_behind_a_valid_checksum(
+        self, tmp_path, part, index, value, match
+    ):
+        import struct
+        import zlib
+
+        rt = toy_table()
+        path = tmp_path / "t.agsr"
+        G.save_rank_table(rt, str(path))
+        blob = bytearray(path.read_bytes())[:-4]
+        start = {
+            "offsets": G.RANK_TABLE_HEADER_BYTES,
+            "ranked": G.RANK_TABLE_HEADER_BYTES + (rt.n + 1) * 8,
+            "probs": G.RANK_TABLE_HEADER_BYTES + (rt.n + 1) * 8 + rt.m * 8,
+        }[part]
+        fmt = "<d" if part == "probs" else "<Q"
+        struct.pack_into(fmt, blob, start + 8 * index, value)
+        blob += struct.pack("<I", zlib.crc32(bytes(blob)))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=match):
+            G.load_rank_table(str(path))
+
+    def test_row_sum_tolerance(self, tmp_path):
+        rt = G.make_rank_table(
+            "similar", "step", (0.2, 0.2, 4.0, 2.0, 1.0, 0.0),
+            [0, 2, 3], [1, 0, 0], [0.75, 0.25 + 5e-10, 1.0],
+        )
+        path = str(tmp_path / "t.agsr")
+        G.save_rank_table(rt, path)
+        assert G.load_rank_table(path).probs.tobytes() == rt.probs.tobytes()
+
     def test_validate_against_graph(self):
         g = G.from_edges(4, [0, 0, 1], [1, 2, 2], directed=True)
         # Row 0 must be a permutation of {1, 2}.

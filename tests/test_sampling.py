@@ -306,6 +306,34 @@ class TestNodeSampleKhop:
         assert np.array_equal(a.graph.targets, b.graph.targets)
 
 
+def graphs_a_and_b():
+    rng = np.random.default_rng(19)
+    a, b = random_graph(rng, n=200, m=600), random_graph(rng, n=200, m=600)
+    return a, b, R.rank_by_similarity(a, rng.normal(size=(200, 4)))
+
+
+class TestTableOfAnotherGraph:
+    def test_node_sample_rejects(self):
+        a, b, rt_a = graphs_a_and_b()
+        SA.node_sample_khop(a, rt_a, range(10), [4], SA.rng_for(0))
+        with pytest.raises(ValueError, match="do not match"):
+            SA.node_sample_khop(b, rt_a, range(10), [4], SA.rng_for(0))
+        with pytest.raises(ValueError, match="do not match"):
+            SA.node_sample_khop(a, [rt_a, R.rank_uniform(b)], range(10), [4], SA.rng_for(0))
+
+    def test_walk_rejects(self):
+        a, b, rt_a = graphs_a_and_b()
+        SA.weighted_random_walk(a, rt_a, range(10), 3, SA.rng_for(0))
+        with pytest.raises(ValueError, match="do not match"):
+            SA.weighted_random_walk(b, rt_a, range(10), 3, SA.rng_for(0))
+
+    def test_table_with_fewer_rows_rejected(self):
+        a, _, rt_a = graphs_a_and_b()
+        bigger = G.from_edges(201, [0], [200], directed=False)
+        with pytest.raises(ValueError, match="do not match"):
+            SA.node_sample_khop(bigger, rt_a, [0], [4], SA.rng_for(0))
+
+
 class TestWeightedRandomWalk:
     def test_path_end_single_step(self):
         g = G.from_edges(3, [0, 1], [1, 2], directed=False)

@@ -96,6 +96,40 @@ class TestSimilarityRow:
         assert row.tolist() == [81.0, 80.0, 77.0, 56.0, 32.0, 17.0, 0.0]
 
 
+class TestBatchAxis:
+    """A stack of point sets gives each set the bits of a lone call."""
+
+    def stack(self, seed):
+        rng = np.random.default_rng(seed)
+        xs = rng.normal(size=(7, 5, 3))
+        xs[1, 2] = 0.0  # zero norm
+        xs[2, 3] = xs[2, 1]  # duplicate row
+        xs[3] = xs[3, 0]  # one repeated point
+        return xs, S.new_siamese(3, 6, 4, rng)
+
+    @pytest.mark.parametrize("kind", S.SIM_KINDS)
+    def test_kernel_stack_matches_single_calls(self, kind):
+        xs, model = self.stack(8)
+        k = S.pairwise_kernel(xs, kind, model)
+        assert k.shape == (7, 5, 5)
+        for i in range(7):
+            assert k[i].tobytes() == S.pairwise_kernel(xs[i], kind, model).tobytes()
+
+    @pytest.mark.parametrize("kind", S.SIM_KINDS)
+    def test_row_stack_matches_single_calls(self, kind):
+        xs, model = self.stack(9)
+        targets = np.concatenate([np.zeros((1, 3)), xs[1:, 0] * 2.0])
+        rows = S.similarity_row(xs, targets, kind, model)
+        assert rows.shape == (7, 5)
+        for i in range(7):
+            one = S.similarity_row(xs[i], targets[i], kind, model)
+            assert rows[i].tobytes() == one.tobytes()
+
+    def test_cosine_zero_target(self):
+        row = S.similarity_row(np.ones((1, 3, 2)), np.zeros((1, 2)), "cosine")
+        assert row.tolist() == [[0.5, 0.5, 0.5]]
+
+
 class TestSiamesePredict:
     def test_untrained_in_unit_interval(self):
         rng = np.random.default_rng(4)
