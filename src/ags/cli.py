@@ -414,6 +414,11 @@ def cmd_verify_lemmas(ns, ctx) -> dict:
         if not ns.model:
             raise ValueError("learned similarity needs --model")
         model = similarity.load_similarity_model(ctx.digest(ns.model))
+        if model.feature_dim != x.shape[1]:
+            raise ValueError(
+                f"model {ns.model} takes {model.feature_dim}-wide features, "
+                f"but --features has width {x.shape[1]}"
+            )
     report = synth.verify_lemmas(
         g, x, y, sim=_SIM_MAP[sim_key], fn=_FN_MAP[fn_key], model=model, lam=lam
     )

@@ -138,18 +138,68 @@ _SUM_COLUMNS = 16  # columns per bincount: bounds its (edges x columns) temporar
 def _gather_sum(x: np.ndarray, take: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     """(n, w) array whose row r sums ``x[take[e]]`` over every e with rows[e] == r.
 
-    One ``np.bincount`` over (row, column) cells per block of columns.
+    One ``np.bincount`` over (row, column) cells per block of columns;
+    every full block shares one cell array.
     """
     w = x.shape[1]
     out = np.zeros((n, w))
     if take.size == 0:
         return out
-    for j in range(0, w, _SUM_COLUMNS):
-        b = min(_SUM_COLUMNS, w - j)
-        cells = (rows[:, None] * b + np.arange(b)).ravel()
+    b = min(_SUM_COLUMNS, w)
+    cells = (rows[:, None] * b + np.arange(b)).ravel()
+    for j in range(0, w, b):
+        if w - j < b:  # a narrower last block
+            b = w - j
+            cells = (rows[:, None] * b + np.arange(b)).ravel()
         vals = x[take, j : j + b].ravel()
         out[:, j : j + b] = np.bincount(cells, weights=vals, minlength=n * b).reshape(n, b)
     return out
+
+
+@dataclass(frozen=True)
+class Block:
+    """The part of the subgraph one layer computes.
+
+    The layer reads its input h on a node set R_in and computes its output
+    on ``rows``, ascending local ids with ``rows`` a subset of R_in.
+    ``self_at`` holds each row's position in R_in. ``take`` and ``seg``
+    list the rows' sampled out-edges in CSR order: the position in R_in of
+    each edge's target and the index in ``rows`` of its source.
+    ``denom`` is each row's out-degree, 1 where it has none.
+    """
+
+    rows: np.ndarray
+    self_at: np.ndarray
+    take: np.ndarray
+    seg: np.ndarray
+    denom: np.ndarray
+
+
+def receptive_blocks(g: Graph, seeds: np.ndarray, n_layers: int) -> tuple[np.ndarray, list[Block]]:
+    """Input rows R_0 and one block per layer, bottom layer first.
+
+    The top layer computes the seeds. Each layer below computes the rows
+    the layer above reads: those rows plus their out-neighbours in ``g``.
+    So layer i computes the seeds' (n_layers - 1 - i)-hop out-neighbourhood.
+    """
+    rows = np.asarray(seeds, dtype=np.int64)
+    blocks: list[Block] = []
+    for _ in range(n_layers):
+        lo = g.offsets[rows]
+        lens = g.offsets[rows + 1] - lo
+        seg = np.repeat(np.arange(rows.size), lens)
+        edges = np.arange(seg.size) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
+        targets = g.targets[edges]
+        member = np.zeros(g.n, dtype=bool)
+        member[rows] = True
+        member[targets] = True
+        at = np.cumsum(member) - 1  # position within the layer's input rows
+        blocks.append(
+            Block(rows, at[rows], at[targets], seg, np.maximum(lens, 1).astype(np.float64))
+        )
+        rows = np.flatnonzero(member)
+    blocks.reverse()
+    return rows, blocks
 
 
 def forward_channel(
@@ -157,53 +207,54 @@ def forward_channel(
 ):
     """Seed embeddings from mean-aggregation message passing on the subgraph.
 
-    Aggregation at every layer is the mean of the sampled out-neighbors in
-    the local graph; a node with no sampled neighbors aggregates the zero
-    vector.
+    Each layer computes only the nodes the layer above reads
+    (:func:`receptive_blocks`): the top layer the seeds, the layer below
+    the seeds and their sampled out-neighbours, and so on down. A node's
+    aggregate is the mean of its sampled out-neighbours in the local graph,
+    or the zero vector if it has none. The cache holds one
+    ``(block, h_in, agg, z)`` per layer: the input on the block's input rows,
+    the aggregate and pre-activation on its ``rows``.
     """
-    g = sub.graph
-    h = np.asarray(x, dtype=np.float64)[sub.parent_ids]
-    counts = np.diff(g.offsets).astype(np.float64)
-    src_idx = np.repeat(np.arange(g.n), np.diff(g.offsets))
-    nz = counts > 0.0
+    inputs, blocks = receptive_blocks(sub.graph, sub.seeds_local(), len(layers))
+    h = np.asarray(x, dtype=np.float64)[sub.parent_ids[inputs]]
     cache = []
-    for layer in layers:
+    for layer, blk in zip(layers, blocks):
         if layer.w_self.shape[1] != h.shape[1]:
             raise ValueError(
                 f"layer expects width {layer.w_self.shape[1]}, got {h.shape[1]}"
             )
-        agg = _gather_sum(h, g.targets, src_idx, g.n)
-        agg[nz] /= counts[nz, None]
-        z = h @ layer.w_self.T + agg @ layer.w_neigh.T + layer.b
-        cache.append((h, agg, z))
+        agg = _gather_sum(h, blk.take, blk.seg, blk.rows.size) / blk.denom[:, None]
+        z = h[blk.self_at] @ layer.w_self.T + agg @ layer.w_neigh.T + layer.b
+        cache.append((blk, h, agg, z))
         h = np.maximum(z, 0.0)
-    seeds = sub.seeds_local()
     if return_cache:
-        return h[seeds], (cache, seeds)
-    return h[seeds]
+        return h, cache
+    return h
 
 
 def backward_channel(
     layers: list[SageLayer], sub: Subgraph, cache, d_seeds: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per-layer (dW_self, dW_neigh, db) for a cached channel forward."""
-    g = sub.graph
-    layer_cache, seeds = cache
-    counts = np.diff(g.offsets).astype(np.float64)
-    src_idx = np.repeat(np.arange(g.n), np.diff(g.offsets))
-    nz = counts > 0.0
-    d_h = np.zeros((g.n, d_seeds.shape[1]))
-    d_h[seeds] = d_seeds
+    """Per-layer (dW_self, dW_neigh, db) for a cached channel forward.
+
+    Walks the forward's blocks top-down, so each layer's gradient covers
+    only the rows that layer computed. The bottom layer stops at its weight
+    gradients: nothing needs the gradient of the input features. ``sub``
+    is not read; the blocks in the cache carry the subgraph's structure.
+    """
     grads: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None]
     grads = [None] * len(layers)
+    d_h = d_seeds
     for i in range(len(layers) - 1, -1, -1):
-        h_in, agg, z = layer_cache[i]
+        blk, h_in, agg, z = cache[i]
         dz = d_h * (z > 0.0)
-        grads[i] = (dz.T @ h_in, dz.T @ agg, dz.sum(axis=0))
-        d_h = dz @ layers[i].w_self
-        d_agg = dz @ layers[i].w_neigh
-        d_agg[nz] /= counts[nz, None]  # each edge passes back its share of the mean
-        d_h += _gather_sum(d_agg, src_idx, g.targets, g.n)
+        grads[i] = (dz.T @ h_in[blk.self_at], dz.T @ agg, dz.sum(axis=0))
+        if i == 0:
+            break
+        # each edge passes back its share of the mean
+        d_agg = (dz @ layers[i].w_neigh) / blk.denom[:, None]
+        d_h = _gather_sum(d_agg, blk.seg, blk.take, h_in.shape[0])
+        d_h[blk.self_at] += dz @ layers[i].w_self
     return grads  # type: ignore[return-value]
 
 

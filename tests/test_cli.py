@@ -14,6 +14,7 @@ import pytest
 
 from ags import cli
 from ags.graph import load_edge_list, load_rank_table
+from ags.similarity import new_siamese, save_similarity_model
 
 C = 4
 N = 240
@@ -365,6 +366,20 @@ class TestVerifyAndTrain:
             assert key in rep
         assert rep["lemma1_violations"] == 0
         assert rep["lemma2_violations"] == 0
+
+    def test_verify_lemmas_model_width_mismatch_exits_1(self, workdir, capsys):
+        model_path = p(workdir, "wide4.model")
+        save_similarity_model(model_path, new_siamese(C, 5, 3, np.random.default_rng(0)))
+        x3 = np.loadtxt(p(workdir, "x.txt"), delimiter=",")[:, :3]
+        np.savetxt(p(workdir, "x3.txt"), x3, fmt="%.8f", delimiter=",")
+        assert cli.main(["verify-lemmas", *graph_flags(workdir),
+                         "--features", p(workdir, "x3.txt"),
+                         "--labels", p(workdir, "y.txt"),
+                         "--sim", "learned", "--model", model_path,
+                         "--out", p(workdir, "never8.json")]) == 1
+        err = capsys.readouterr().err
+        assert f"model {model_path} takes 4-wide features" in err
+        assert "--features has width 3" in err
 
     def test_train_demo_channel_table_mismatch_exits_1(self, workdir):
         assert cli.main(["train-demo", *graph_flags(workdir),

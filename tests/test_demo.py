@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 from oracles import (
+    backward_channel_whole as oracle_backward,
     central_difference_grads,
+    forward_channel_whole as oracle_forward,
     max_relative_error,
     mean_aggregate_add_at,
     mean_aggregate_grad_add_at,
@@ -122,8 +124,20 @@ def random_layers(rng, dims):
     ]
 
 
+def embed(ids, rows, n):
+    """(n, w) array holding ``rows`` at local ids ``ids`` and zeros elsewhere."""
+    out = np.zeros((n, rows.shape[1]))
+    out[ids] = rows
+    return out
+
+
 class TestAggregationOracle:
-    """Segment-sum aggregation against an np.add.at scatter, to 1e-12."""
+    """Segment-sum aggregation against an np.add.at scatter, to 1e-12.
+
+    Each layer computes only its block's rows, so the cached inputs and
+    gradients are placed back into whole-subgraph arrays and compared
+    with the oracle's scatter over the whole local graph.
+    """
 
     @pytest.mark.parametrize("seed", range(6))
     def test_forward_and_backward_match_add_at(self, seed):
@@ -132,26 +146,36 @@ class TestAggregationOracle:
         x = rng.normal(size=(g.n, 5))
         layers = random_layers(rng, [5, 7, 6])
         out, cache = D.forward_channel(layers, sub, x, return_cache=True)
-        layer_cache, seeds = cache
-        for h_in, agg, _ in layer_cache:
-            assert np.allclose(
-                agg, mean_aggregate_add_at(sub.graph, h_in), rtol=1e-12, atol=1e-12
-            )
+        inputs, _ = D.receptive_blocks(sub.graph, sub.seeds_local(), len(layers))
+        in_ids = [inputs] + [blk.rows for blk, *_ in cache[:-1]]
+        for ids, (blk, h_in, agg, _) in zip(in_ids, cache):
+            want = mean_aggregate_add_at(sub.graph, embed(ids, h_in, sub.n))
+            assert np.allclose(agg, want[blk.rows], rtol=1e-12, atol=1e-12)
 
         d_seeds = rng.normal(size=out.shape)
         grads = D.backward_channel(layers, sub, cache, d_seeds)
-        # the same chain rule, with the oracle scatter for the aggregate
-        d_h = np.zeros((sub.n, out.shape[1]))
-        d_h[seeds] = d_seeds
+        # the same chain rule over the whole subgraph, with the oracle scatter
+        d_h = embed(sub.seeds_local(), d_seeds, sub.n)
         for i in range(len(layers) - 1, -1, -1):
-            h_in, agg, z = layer_cache[i]
-            dz = d_h * (z > 0.0)
-            want = (dz.T @ h_in, dz.T @ agg, dz.sum(axis=0))
+            blk, h_in, agg, z = cache[i]
+            dz = np.zeros((sub.n, z.shape[1]))
+            dz[blk.rows] = d_h[blk.rows] * (z > 0.0)
+            h_full = embed(in_ids[i], h_in, sub.n)
+            want = (dz.T @ h_full, dz.T @ embed(blk.rows, agg, sub.n), dz.sum(axis=0))
             for a, b in zip(grads[i], want):
                 assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
             d_h = dz @ layers[i].w_self + mean_aggregate_grad_add_at(
                 sub.graph, dz @ layers[i].w_neigh
             )
+
+    @pytest.mark.parametrize("width", [16, 37, 64])
+    def test_wide_rows_sum_in_column_blocks(self, width):
+        _, sub = sampled_sub(1, replace=True)
+        g = sub.graph
+        h = np.random.default_rng(width).normal(size=(g.n, width))
+        src = np.repeat(np.arange(g.n), g.degrees())
+        got = D._gather_sum(h, g.targets, src, g.n) / np.maximum(g.degrees(), 1)[:, None]
+        assert np.allclose(got, mean_aggregate_add_at(g, h), rtol=1e-12, atol=1e-12)
 
     def test_isolated_rows_and_empty_graph(self):
         # rows 1, 2 and 4 aggregate nothing; row 3 aggregates its self-loop
@@ -159,12 +183,122 @@ class TestAggregationOracle:
         sub = G.build_subgraph(g, [0, 3, 4], g.edge_array())
         x = np.random.default_rng(1).normal(size=(g.n, 3))
         layers = [D.SageLayer(np.eye(3), np.eye(3), np.zeros(3))]
-        _, (cache, _) = D.forward_channel(layers, sub, x, return_cache=True)
-        h_in, agg, _ = cache[0]
-        assert np.allclose(agg, mean_aggregate_add_at(sub.graph, h_in), rtol=1e-12, atol=1e-12)
+        _, cache = D.forward_channel(layers, sub, x, return_cache=True)
+        blk, h_in, agg, _ = cache[0]
+        inputs, _ = D.receptive_blocks(sub.graph, sub.seeds_local(), 1)
+        want = mean_aggregate_add_at(sub.graph, embed(inputs, h_in, sub.n))
+        assert np.allclose(agg, want[blk.rows], rtol=1e-12, atol=1e-12)
         empty = G.build_subgraph(g, [4], [])
         out = D.forward_channel(layers, empty, np.ones((5, 3)))
         assert np.array_equal(out, np.ones((1, 3)))
+
+
+def hop_closure(sub, hops):
+    """Sorted local ids within ``hops`` out-hops of the seeds, by BFS."""
+    reach = set(sub.seeds_local().tolist())
+    frontier = set(reach)
+    for _ in range(hops):
+        frontier = {int(v) for u in frontier for v in sub.graph.neighbors(u)} - reach
+        reach |= frontier
+    return np.array(sorted(reach), dtype=np.int64)
+
+
+def case_sub(case, n_layers):
+    """(graph, subgraph) for one named oracle case, with its property checked."""
+    if case in ("sampled_replace", "sampled_distinct"):
+        rng = np.random.default_rng(n_layers)
+        g = random_graph(n_layers, n=60, m=240)
+        rt = R.rank_by_similarity(g, rng.normal(size=(g.n, 3)))
+        seeds = rng.choice(g.n, size=12, replace=False)
+        sub = SA.node_sample_khop(
+            g, rt, seeds, [4, 3, 2][:n_layers], SA.rng_for(n_layers),
+            case == "sampled_replace",
+        )
+        return g, sub
+    if case == "seed_is_hop_target":
+        # seeds 0 and 1 draw each other; 2 draws seed 0 at the second hop
+        g = G.from_edges(5, [0, 1, 1, 2, 3], [1, 0, 2, 0, 4], directed=True)
+        sub = G.build_subgraph(g, [0, 1], g.edge_array())
+        seeds = set(sub.seeds_local().tolist())
+        assert seeds & set(sub.graph.targets.tolist())
+        return g, sub
+    if case == "lonely_seed":
+        # seed 3 drew no neighbours
+        g = G.from_edges(5, [0, 1, 2], [1, 2, 4], directed=True)
+        sub = G.build_subgraph(g, [0, 3], g.edge_array())
+        assert sub.graph.degrees()[3] == 0
+        return g, sub
+    if case == "self_loops":
+        g = G.from_edges(4, [0, 0, 1, 1, 2], [0, 1, 1, 2, 3], directed=True)
+        return g, G.build_subgraph(g, [0, 2], g.edge_array())
+    if case == "single_seed":
+        g = random_graph(3, n=30, m=80)
+        rt = R.rank_uniform(g)
+        sub = SA.node_sample_khop(g, rt, [7], [3, 3, 3][:n_layers], SA.rng_for(3))
+        return g, sub
+    if case == "no_edges":
+        g = G.from_edges(6, [], [], directed=True)
+        return g, G.build_subgraph(g, [1, 4, 5], [])
+    raise AssertionError(case)
+
+
+ORACLE_CASES = (
+    "sampled_replace",
+    "sampled_distinct",
+    "seed_is_hop_target",
+    "lonely_seed",
+    "self_loops",
+    "single_seed",
+    "no_edges",
+)
+
+
+class TestReceptiveFieldOracle:
+    """Pruned layers against every layer computed on every subgraph node."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_seed_outputs_and_grads_match_whole_subgraph(self, case, n_layers):
+        g, sub = case_sub(case, n_layers)
+        rng = np.random.default_rng(len(case) + 10 * n_layers)
+        x = rng.normal(size=(g.n, 4))
+        layers = random_layers(rng, [4] + [5] * n_layers)
+        out, cache = D.forward_channel(layers, sub, x, return_cache=True)
+        want, whole = oracle_forward(layers, sub, x)
+        assert out.shape == want.shape == (sub.seeds_local().size, 5)
+        np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+
+        d_seeds = rng.normal(size=out.shape)
+        grads = D.backward_channel(layers, sub, cache, d_seeds)
+        expected = oracle_backward(layers, sub, whole, d_seeds)
+        assert len(grads) == n_layers
+        for got, exp in zip(grads, expected):
+            for a, b in zip(got, exp):
+                assert a.shape == b.shape
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+class TestReceptiveBlocks:
+    """Each layer computes exactly the rows the layer above reads."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_rows_are_seed_hop_closures(self, case, n_layers):
+        g, sub = case_sub(case, n_layers)
+        x = np.ones((g.n, 2))
+        layers = identity_layers(2, n_layers)
+        _, cache = D.forward_channel(layers, sub, x, return_cache=True)
+        assert cache[-1][3].shape[0] == sub.seeds_local().size  # one z row per seed
+        for i, (blk, h_in, agg, z) in enumerate(cache):
+            rows = hop_closure(sub, n_layers - 1 - i)
+            assert np.array_equal(blk.rows, rows)
+            assert z.shape[0] == agg.shape[0] == rows.size
+            assert h_in.shape[0] == hop_closure(sub, n_layers - i).size
+
+    def test_top_layer_skips_non_seed_rows(self):
+        _, sub = sampled_sub(0, replace=False)
+        _, cache = D.forward_channel(identity_layers(2, 2), sub, np.ones((60, 2)), True)
+        assert cache[-1][3].shape[0] == sub.seeds_local().size < sub.n
 
 
 class TestForwardDual:
@@ -252,8 +386,8 @@ class TestForwardDual:
 
 def relu_margin(cache_pack, skip_cache):
     margins = []
-    for layer_cache, _ in cache_pack:
-        for _, _, z in layer_cache:
+    for layer_cache in cache_pack:
+        for *_, z in layer_cache:
             margins.append(float(np.abs(z).min()) if z.size else 1.0)
     if skip_cache is not None:
         margins.append(float(np.abs(skip_cache[1]).min()))
