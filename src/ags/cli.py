@@ -701,6 +701,14 @@ def main(argv=None) -> int:
             raise ValueError(f"{command} needs --out")
         if ns.config:
             ctx.file_cfg = _load_config_file(ctx.digest(ns.config))
+            unknown = sorted(
+                k for k in ctx.file_cfg if k.replace("-", "_") not in vars(ns)
+            )
+            if unknown:
+                raise ValueError(
+                    f"{ns.config}: {command} has no flag for config key(s) "
+                    + ", ".join(unknown)
+                )
         payload = _HANDLERS[command](ns, ctx)
     except (ValueError, OSError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

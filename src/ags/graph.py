@@ -154,14 +154,6 @@ def from_edges(
     return g
 
 
-def to_undirected(g: Graph) -> Graph:
-    """Symmetrize a graph. Idempotent; duplicate merges keep max weight."""
-    if not g.directed:
-        return g
-    edges = g.edge_array()
-    return from_edges(g.n, edges[:, 0], edges[:, 1], g.weights, directed=False)
-
-
 def load_edge_list(path: str, directed: bool = False) -> Graph:
     """Load a whitespace- or TAB-separated edge list.
 

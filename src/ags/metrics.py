@@ -53,13 +53,6 @@ def chi2_critical_95(dof: int) -> float:
     return dof * (1.0 - a + _Z_95 * math.sqrt(a)) ** 3
 
 
-def local_node_homophily(g: Graph, y: np.ndarray, u: int) -> float:
-    nbrs = g.neighbors(u)
-    if nbrs.shape[0] == 0:
-        raise ValueError(f"node {u} is isolated; local homophily undefined")
-    return float(np.mean(y[nbrs] == y[u]))
-
-
 def local_homophily_values(g: Graph, y: np.ndarray) -> np.ndarray:
     """Per-node local homophily; NaN marks isolated nodes."""
     out = np.full(g.n, np.nan)

@@ -218,42 +218,6 @@ def _make_state(fn: SubmodularFn):
     return _STATES[fn.kind](data, fn.lam)
 
 
-def facility_location_gain(
-    s: set[int], a, kernel: np.ndarray, v: int
-) -> float:
-    """Marginal gain of v for f(S, A) = sum over A of the best kernel hit."""
-    a = np.asarray(list(a), dtype=np.int64)
-    if len(s) == 0:
-        return float(kernel[v, a].sum())
-    chosen = np.asarray(sorted(s), dtype=np.int64)
-    best = kernel[np.ix_(chosen, a)].max(axis=0)
-    return float(np.maximum(kernel[v, a] - best, 0.0).sum())
-
-
-def max_coverage_gain(s: set[int], v: int, features: np.ndarray) -> float:
-    if np.any(features < 0.0):
-        raise ValueError("max_coverage requires nonnegative features")
-    cov = features[sorted(s)].sum(axis=0) if s else np.zeros(features.shape[1])
-    return float((np.minimum(cov + features[v], 1.0) - np.minimum(cov, 1.0)).sum())
-
-
-def feature_based_gain(s: set[int], v: int, features: np.ndarray) -> float:
-    if np.any(features < 0.0):
-        raise ValueError("feature_based requires nonnegative features")
-    sums = features[sorted(s)].sum(axis=0) if s else np.zeros(features.shape[1])
-    return float((np.sqrt(sums + features[v]) - np.sqrt(sums)).sum())
-
-
-def graph_cut_gain(
-    s: set[int], v_all, kernel: np.ndarray, v: int, lam: float = 2.0
-) -> float:
-    v_all = np.asarray(list(v_all), dtype=np.int64)
-    cross = (
-        kernel[sorted(s), v].sum() if s else 0.0
-    )
-    return float(lam * kernel[v, v_all].sum() - 2.0 * cross - kernel[v, v])
-
-
 def lazy_greedy(
     ground, initial, fn: SubmodularFn
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -339,6 +303,11 @@ def _rank_similar(
     row = np.repeat(np.arange(deg.size), deg)
     # within a row: descending score, then ascending node id
     return targets[np.lexsort((targets, -score, row))]
+
+
+def _check_nonnegative(fn_kind: str, x: np.ndarray) -> None:
+    if fn_kind not in _KERNEL_KINDS and np.any(x < 0.0):
+        raise ValueError(f"{fn_kind} requires nonnegative features")
 
 
 def _kernel_or_features(xs, sim, fn_kind, model) -> np.ndarray:
@@ -494,8 +463,7 @@ def rank_by_diversity(
         raise ValueError(f"unknown submodular kind: {fn_kind!r}")
     if sim == "learned" and model is None:
         raise ValueError("learned similarity requires a model")
-    if fn_kind in ("max_coverage", "feature_based") and np.any(x < 0.0):
-        raise ValueError(f"{fn_kind} requires nonnegative features")
+    _check_nonnegative(fn_kind, x)
     spec = pmf or PmfSpec()
     ranked = _build_rows(
         _rank_diverse, g, (x, sim, fn_kind, model, lam), workers

@@ -261,7 +261,6 @@ def disjoint_decompose(
     g: Graph,
     edge_weights,
     k_parts: int,
-    strategy: str = "max_spanning_tree",
 ) -> DisjointCollection:
     """Peel k maximum-weight spanning forests off the graph.
 
@@ -270,8 +269,6 @@ def disjoint_decompose(
     Whatever remains, self-loops included, becomes the residual. When
     the edges run out early the collection is shorter and flagged.
     """
-    if strategy != "max_spanning_tree":
-        raise ValueError(f"unknown strategy: {strategy!r}")
     if k_parts < 1:
         raise ValueError("need at least one forest")
     edge_weights = np.asarray(edge_weights, dtype=np.float64)

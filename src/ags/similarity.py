@@ -201,16 +201,6 @@ def predict_pairs(
     return out[:, 0]
 
 
-def predict_edge_weight(
-    model: SiameseModel, xu: np.ndarray, xv: np.ndarray
-) -> float:
-    xu = np.asarray(xu, dtype=np.float64)
-    xv = np.asarray(xv, dtype=np.float64)
-    if xu.shape != xv.shape or xu.ndim != 1:
-        raise ValueError("expected two feature vectors of equal length")
-    return float(predict_pairs(model, xu[None, :], xv[None, :])[0])
-
-
 def pair_loss_and_grads(
     model: SiameseModel,
     x1: np.ndarray,

@@ -19,14 +19,13 @@ import numpy as np
 
 from .graph import Graph, from_edges
 from .ranking import (
+    _STATES,
     SUBMODULAR_KINDS,
-    facility_location_gain,
-    feature_based_gain,
-    graph_cut_gain,
-    max_coverage_gain,
+    _check_nonnegative,
+    _kernel_or_features,
 )
 from .sampling import rng_for
-from .similarity import SIM_KINDS, pairwise_kernel, similarity_row
+from .similarity import SIM_KINDS, similarity_row
 
 # spawn_key namespace for per-node generator streams; nodes are wired
 # independently so the result does not depend on iteration order.
@@ -245,26 +244,6 @@ class LemmaReport:
         }
 
 
-def _neighbor_gains(kind, features, kernel, d, lam):
-    """Marginal gain of each neighbor against the {ego} base set.
-
-    Local indices 0..d-1 are the neighbors; index d is the ego.
-    """
-    s = {d}
-    ground = range(d + 1)
-    if kind == "facility_location":
-        return np.array(
-            [facility_location_gain(s, ground, kernel, i) for i in range(d)]
-        )
-    if kind == "max_coverage":
-        return np.array([max_coverage_gain(s, i, features) for i in range(d)])
-    if kind == "feature_based":
-        return np.array([feature_based_gain(s, i, features) for i in range(d)])
-    return np.array(
-        [graph_cut_gain(s, ground, kernel, i, lam=lam) for i in range(d)]
-    )
-
-
 def verify_lemmas(
     g: Graph,
     x,
@@ -290,7 +269,7 @@ def verify_lemmas(
         raise ValueError(f"unknown similarity kind: {sim!r}")
     if fn not in SUBMODULAR_KINDS:
         raise ValueError(f"unknown submodular kind: {fn!r}")
-    needs_kernel = fn in ("facility_location", "graph_cut")
+    _check_nonnegative(fn, x)
 
     ids, degs, counts = [], [], []
     s_same, s_tot, g_same, g_tot = [], [], [], []
@@ -302,9 +281,11 @@ def verify_lemmas(
             isolated += 1
             continue
         sims = similarity_row(x[nbrs], x[t], kind=sim, model=model)
+        # the gain of each neighbor (local 0..d-1) given the ego (local d)
         local = x[np.concatenate([nbrs, [t]])]
-        kernel = pairwise_kernel(local, kind=sim, model=model) if needs_kernel else None
-        gains = _neighbor_gains(fn, local, kernel, d, lam)
+        state = _STATES[fn](_kernel_or_features(local, sim, fn, model), lam)
+        state.add(d)
+        gains = state.gains(slice(0, d))
         if np.any(sims < 0.0) or np.any(gains < -1e-12):
             raise ValueError("selection masses must be nonnegative")
         gains = np.maximum(gains, 0.0)

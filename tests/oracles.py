@@ -264,3 +264,77 @@ def probs_loop(g, spec):
         if hi > lo:
             probs[lo:hi] = pmf_from_ranks(hi - lo, spec)
     return probs
+
+
+# ------------------------------------------------------------------ gains
+#
+# Free marginal-gain functions: one candidate against an explicit set,
+# recomputed from scratch on every call. They are the naive oracles of
+# the library's incremental gain states.
+
+
+def facility_location_gain(
+    s: set[int], a, kernel: np.ndarray, v: int
+) -> float:
+    """Marginal gain of v for f(S, A) = sum over A of the best kernel hit."""
+    a = np.asarray(list(a), dtype=np.int64)
+    if len(s) == 0:
+        return float(kernel[v, a].sum())
+    chosen = np.asarray(sorted(s), dtype=np.int64)
+    best = kernel[np.ix_(chosen, a)].max(axis=0)
+    return float(np.maximum(kernel[v, a] - best, 0.0).sum())
+
+
+def max_coverage_gain(s: set[int], v: int, features: np.ndarray) -> float:
+    if np.any(features < 0.0):
+        raise ValueError("max_coverage requires nonnegative features")
+    cov = features[sorted(s)].sum(axis=0) if s else np.zeros(features.shape[1])
+    return float((np.minimum(cov + features[v], 1.0) - np.minimum(cov, 1.0)).sum())
+
+
+def feature_based_gain(s: set[int], v: int, features: np.ndarray) -> float:
+    if np.any(features < 0.0):
+        raise ValueError("feature_based requires nonnegative features")
+    sums = features[sorted(s)].sum(axis=0) if s else np.zeros(features.shape[1])
+    return float((np.sqrt(sums + features[v]) - np.sqrt(sums)).sum())
+
+
+def graph_cut_gain(
+    s: set[int], v_all, kernel: np.ndarray, v: int, lam: float = 2.0
+) -> float:
+    v_all = np.asarray(list(v_all), dtype=np.int64)
+    cross = (
+        kernel[sorted(s), v].sum() if s else 0.0
+    )
+    return float(lam * kernel[v, v_all].sum() - 2.0 * cross - kernel[v, v])
+
+
+def lemma_gain_masses(g, x, y, egos, sim, fn_kind, model=None, lam=2.0):
+    """Same-label and total gain mass of each ego's neighbours, one free
+    gain call per neighbour against the {ego} base set.
+
+    Local ids 0..d-1 are the neighbours, d is the ego. Gains are clipped
+    at 0 and summed the way verify_lemmas reports them.
+    """
+    from ags.similarity import pairwise_kernel
+
+    same, total = [], []
+    for t in egos:
+        nbrs = g.neighbors(t)
+        d = int(nbrs.shape[0])
+        local = x[np.concatenate([nbrs, [t]])]
+        s, ground = {d}, range(d + 1)
+        if fn_kind == "facility_location":
+            kernel = pairwise_kernel(local, kind=sim, model=model)
+            gains = [facility_location_gain(s, ground, kernel, i) for i in range(d)]
+        elif fn_kind == "max_coverage":
+            gains = [max_coverage_gain(s, i, local) for i in range(d)]
+        elif fn_kind == "feature_based":
+            gains = [feature_based_gain(s, i, local) for i in range(d)]
+        else:
+            kernel = pairwise_kernel(local, kind=sim, model=model)
+            gains = [graph_cut_gain(s, ground, kernel, i, lam=lam) for i in range(d)]
+        gains = np.maximum(np.array(gains), 0.0)
+        same.append(float(gains[y[nbrs] == y[t]].sum()))
+        total.append(float(gains.sum()))
+    return np.asarray(same), np.asarray(total)

@@ -236,6 +236,33 @@ class TestSeedPrecedence:
                          "--config", str(cfg),
                          "--out", p(workdir, "never.json")]) == 1
 
+    @pytest.mark.parametrize("line", ["replace=true", "fanout=3,2"])
+    def test_unknown_config_key_exits_1(self, workdir, tmp_path, capsys, line):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"epochs=1\n{line}\n")
+        out = tmp_path / "train.json"
+        code = cli.main(["train-demo", *graph_flags(workdir), *data_flags(workdir),
+                         "--table-sim", p(workdir, "sim.agsr"),
+                         "--table-div", p(workdir, "div.agsr"),
+                         "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr()
+        assert line.split("=")[0] in err.err and err.out == ""
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "train.json.manifest.json").read_text())
+        assert "config key" in manifest["error"] and manifest["config"] == {}
+
+    def test_dashed_config_keys_accepted(self, workdir, tmp_path):
+        cfg = tmp_path / "disjoint.cfg"
+        cfg.write_text("residual-frac=0.1\nK=1\n")
+        out = tmp_path / "parts.json"
+        assert cli.main(["sample", "disjoint", *graph_flags(workdir),
+                         "--table", p(workdir, "sim.agsr"),
+                         "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "parts.json.manifest.json").read_text())
+        assert manifest["config"]["residual-frac"] == 0.1
+        assert manifest["config"]["K"] == 1
+
 
 class TestSampleCommands:
     def test_dual_channel_schema(self, workdir):

@@ -54,8 +54,10 @@ class TestFromEdges:
         rng = np.random.default_rng(7)
         for _ in range(20):
             g = fuzz_graph(rng, directed=True, weighted=True)
-            u1 = G.to_undirected(g)
-            u2 = G.to_undirected(u1)
+            e = g.edge_array()
+            u1 = G.from_edges(g.n, e[:, 0], e[:, 1], g.weights, directed=False)
+            e1 = u1.edge_array()
+            u2 = G.from_edges(g.n, e1[:, 0], e1[:, 1], u1.weights, directed=False)
             assert np.array_equal(u1.offsets, u2.offsets)
             assert np.array_equal(u1.targets, u2.targets)
             assert np.array_equal(u1.weights, u2.weights)

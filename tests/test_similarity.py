@@ -134,31 +134,30 @@ class TestSiamesePredict:
     def test_untrained_in_unit_interval(self):
         rng = np.random.default_rng(4)
         model = S.new_siamese(5, 8, 8, rng)
-        for _ in range(20):
-            v = S.predict_edge_weight(model, rng.normal(size=5), rng.normal(size=5))
-            assert 0.0 < v < 1.0
+        v = S.predict_pairs(model, rng.normal(size=(20, 5)), rng.normal(size=(20, 5)))
+        assert v.shape == (20,)
+        assert np.all((0.0 < v) & (v < 1.0))
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(5)
         model = S.new_siamese(4, 6, 6, rng)
-        for _ in range(20):
-            a, b = rng.normal(size=4), rng.normal(size=4)
-            assert S.predict_edge_weight(model, a, b) == S.predict_edge_weight(
-                model, b, a
-            )
+        a, b = rng.normal(size=(20, 4)), rng.normal(size=(20, 4))
+        assert S.predict_pairs(model, a, b).tobytes() == (
+            S.predict_pairs(model, b, a).tobytes()
+        )
 
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(6)
         model = S.new_siamese(4, 6, 6, rng)
-        a, b = rng.normal(size=4), rng.normal(size=4)
-        assert S.predict_edge_weight(model, a, b) == S.predict_edge_weight(
-            model, a, b
+        a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        assert S.predict_pairs(model, a, b).tobytes() == (
+            S.predict_pairs(model, a, b).tobytes()
         )
 
     def test_shape_mismatch(self):
         model = S.new_siamese(4, 6, 6, np.random.default_rng(7))
         with pytest.raises(ValueError):
-            S.predict_edge_weight(model, np.zeros(4), np.zeros(3))
+            S.predict_pairs(model, np.zeros((1, 4)), np.zeros((1, 3)))
 
 
 def separable_toy(n_per_class=20, noise=0.0, seed=0):

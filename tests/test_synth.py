@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import ags.graph as G
 import ags.metrics as M
 import ags.ranking as R
+import ags.similarity as S
 import ags.synth as SY
+from oracles import lemma_gain_masses
 
 
 def labels(n, c, seed):
@@ -271,6 +274,43 @@ class TestVerifyLemmas:
         for fn in ("max_coverage", "feature_based", "graph_cut"):
             rep = SY.verify_lemmas(g, x, y, fn=fn)
             assert np.all((0.0 <= rep.p_diverse) & (rep.p_diverse <= 1.0))
+
+
+def hub_graph_with_loops(n=90, seed=34):
+    """Random graph plus self-loops on nodes 1, 2, 3 and a 60-neighbour hub 0."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n, size=3 * n)
+    dst = rng.integers(0, n, size=3 * n)
+    hub = rng.choice(np.arange(1, n), size=60, replace=False)
+    src = np.concatenate([src, np.zeros(60, dtype=np.int64), [1, 2, 3]])
+    dst = np.concatenate([dst, hub, [1, 2, 3]])
+    return G.from_edges(n, src, dst, directed=False)
+
+
+class TestLemmaGainsOracle:
+    @pytest.mark.parametrize("sim", ["cosine", "neg_euclidean", "learned"])
+    @pytest.mark.parametrize("fn", R.SUBMODULAR_KINDS)
+    def test_gain_masses_match_free_functions(self, fn, sim):
+        g = hub_graph_with_loops()
+        assert g.degree(0) >= 60 and all(u in g.neighbors(u) for u in (1, 2, 3))
+        y = labels(g.n, 3, 35)
+        x = np.abs(onehot_noise(y, 3, 35, noise=0.3))
+        model = None
+        if sim == "learned":
+            model = S.new_siamese(3, 8, 8, np.random.default_rng(36))
+        rep = SY.verify_lemmas(g, x, y, sim=sim, fn=fn, model=model)
+        assert rep.node_ids.size > g.n // 2 and 0 in rep.node_ids
+        same, total = lemma_gain_masses(g, x, y, rep.node_ids, sim, fn, model)
+        assert rep.gain_same.tobytes() == same.tobytes()
+        assert rep.gain_total.tobytes() == total.tobytes()
+
+    @pytest.mark.parametrize("fn", ["max_coverage", "feature_based"])
+    def test_negative_features_rejected(self, fn):
+        g = G.from_edges(3, [0, 1], [1, 2], directed=False)
+        x = np.array([[1.0, 0.5], [0.2, -0.1], [0.3, 0.3]])
+        y = np.array([0, 1, 0])
+        with pytest.raises(ValueError, match=f"{fn} requires nonnegative"):
+            SY.verify_lemmas(g, x, y, fn=fn)
 
 
 class TestRankedSelectionShiftsHomophily:
