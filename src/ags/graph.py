@@ -57,11 +57,6 @@ class Graph:
     def neighbors(self, u: int) -> np.ndarray:
         return self.targets[self.offsets[u] : self.offsets[u + 1]]
 
-    def neighbor_weights(self, u: int) -> np.ndarray | None:
-        if self.weights is None:
-            return None
-        return self.weights[self.offsets[u] : self.offsets[u + 1]]
-
     def has_edge(self, u: int, v: int) -> bool:
         row = self.neighbors(u)
         i = np.searchsorted(row, v)
@@ -134,7 +129,9 @@ def from_edges(
         keys = src * np.int64(n) + dst
         order = np.argsort(keys, kind="stable")
         keys, src, dst = keys[order], src[order], dst[order]
-        uniq, first = np.unique(keys, return_index=True)
+        # the keys are sorted, so each run of equal keys starts where a
+        # key differs from its predecessor (``np.unique`` would sort again)
+        first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
         if w is not None:
             w = w[order]
             merged_w = np.maximum.reduceat(w, first)
@@ -424,7 +421,8 @@ class RankTable:
         """
         self.check_rows(g)
         rows = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees())
-        order = np.lexsort((self.ranked_ids, rows))
+        # one int64 key per entry orders by row, then by id
+        order = np.argsort(rows * g.n + self.ranked_ids, kind="stable")
         if not np.array_equal(self.ranked_ids[order], g.targets):
             raise ValueError(
                 "rank table rows do not match the graph: a row is not a permutation of N(u)"

@@ -65,10 +65,6 @@ class DenseNet:
     def in_dim(self) -> int:
         return int(self.layers[0].w.shape[1])
 
-    @property
-    def out_dim(self) -> int:
-        return int(self.layers[-1].w.shape[0])
-
     def parameters(self) -> list[np.ndarray]:
         """Parameter arrays in a fixed order: w0, b0, w1, b1, ..."""
         out: list[np.ndarray] = []

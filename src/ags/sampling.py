@@ -226,24 +226,6 @@ class DisjointCollection:
         return sub.parent_ids[local] if local.size else local
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 def _canonical_undirected(g: Graph, edge_weights: np.ndarray):
     """Unique (u, v, w) with u <= v; w is the max over both directions."""
     pairs = g.edge_array()
@@ -264,8 +246,11 @@ def disjoint_decompose(
 ) -> DisjointCollection:
     """Peel k maximum-weight spanning forests off the graph.
 
-    Each round runs Kruskal over the edges no earlier forest took,
-    ordering by (weight desc, endpoints asc) so the result is unique.
+    Edges are sorted once by (weight desc, endpoints asc), a strict
+    total order, so every forest is unique. Each forest is the maximum
+    spanning forest, under that order, of the edges no earlier forest
+    took. Borůvka rounds (``_boruvka_forest``) find the forest that a
+    Kruskal loop would.
     Whatever remains, self-loops included, becomes the residual. When
     the edges run out early the collection is shorter and flagged.
     """
@@ -278,31 +263,31 @@ def disjoint_decompose(
         raise ValueError("edge weights must be finite and nonnegative")
 
     us, vs, ws = _canonical_undirected(g, edge_weights)
-    loops = us == vs
-    remaining = np.flatnonzero(~loops)
+    # the canonical edges come in ascending (u, v) order, so a stable
+    # sort by weight alone gives (weight desc, u asc, v asc)
+    order = np.argsort(-ws, kind="stable")
+    su, sv = us[order], vs[order]
+    loops = su == sv
+    alive = ~loops  # sorted non-loop positions no forest has taken yet
     flags: list[str] = []
     floor = k_parts * 1e-3
 
     forest_edge_sets: list[np.ndarray] = []
     forest_weights: list[float] = []
     for _ in range(k_parts):
-        if remaining.size == 0:
+        pos = np.flatnonzero(alive)
+        if pos.size == 0:
             flags.append(f"exhausted_after={len(forest_edge_sets)}")
             break
-        order = remaining[
-            np.lexsort((vs[remaining], us[remaining], -ws[remaining]))
-        ]
-        uf = _UnionFind(g.n)
-        accepted = [int(e) for e in order if uf.union(int(us[e]), int(vs[e]))]
-        idx = np.asarray(accepted, dtype=np.int64)
+        pos = pos[_boruvka_forest(g.n, su[pos], sv[pos])]
+        alive[pos] = False
+        # ascending positions are Kruskal's acceptance order, so the sum
+        # adds the same terms in the same order
+        idx = order[pos]
         forest_edge_sets.append(idx)
         forest_weights.append(max(float(ws[idx].sum()), floor))
-        mask = np.ones(remaining.shape[0], dtype=bool)
-        mask[np.isin(remaining, idx)] = False
-        remaining = remaining[mask]
 
-    residual_idx = np.concatenate([remaining, np.flatnonzero(loops)])
-    residual_idx.sort()
+    residual_idx = np.sort(order[alive | loops])
 
     parts: list[tuple[Subgraph, float]] = []
     for idx, weight in zip(forest_edge_sets, forest_weights):
@@ -311,6 +296,45 @@ def disjoint_decompose(
     res_edges = np.stack([us[residual_idx], vs[residual_idx]], axis=1)
     parts.append((build_subgraph(g, [], res_edges), 0.0))
     return DisjointCollection(parent=g, parts=parts, flags=flags)
+
+
+def _boruvka_forest(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Ascending indices of the spanning forest that prefers earlier edges.
+
+    ``eu``/``ev`` list non-loop edges over nodes 0..n-1, best first. Each
+    round, every component takes its first incident edge (Borůvka 1926);
+    under a strict order that edge is in the unique forest. Components
+    hook along those edges, a pair that chose the same edge keeps the
+    smaller id as root, and pointer jumping relabels. Each round at
+    least halves the components that still have an edge out.
+    """
+    a, b = eu, ev  # component of each endpoint of the live edges
+    live = np.arange(eu.size)  # edges still joining two components
+    accepted = np.zeros(eu.size, dtype=bool)
+    best = np.empty(n, dtype=np.int64)
+    while live.size:
+        # live stays ascending, so its first slot at a component is the
+        # component's best edge
+        best.fill(live.size)
+        slot = np.arange(live.size)
+        np.minimum.at(best, a, slot)
+        np.minimum.at(best, b, slot)
+        comp = np.flatnonzero(best < live.size)
+        pick = best[comp]
+        accepted[live[pick]] = True
+        root = np.arange(n)
+        root[comp] = np.where(a[pick] == comp, b[pick], a[pick])
+        mutual = comp[(root[root[comp]] == comp) & (comp < root[comp])]
+        root[mutual] = mutual
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+        a, b = root[a], root[b]
+        keep = a != b
+        live, a, b = live[keep], a[keep], b[keep]
+    return np.flatnonzero(accepted)
 
 
 def disjoint_subgraph_sample(

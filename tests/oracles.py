@@ -126,6 +126,57 @@ def edge_weights_dict(g, rt):
     return w
 
 
+def kruskal_forests(g, edge_weights, k_parts):
+    """Disjoint decomposition by a union-find Kruskal loop per forest.
+
+    Canonical edges (u <= v) carry the max weight of both directions.
+    Each forest sorts the edges no earlier forest took by (weight desc,
+    u asc, v asc) and accepts them one at a time. Returns (forests,
+    weights, residual, flags): each forest and the residual as (m, 2)
+    pairs in ascending (u, v) order, each weight the sum of the forest's
+    weights in acceptance order, floored at k * 1e-3.
+    """
+    best = {}
+    for (a, b), w in zip(g.edge_array().tolist(), edge_weights.tolist()):
+        key = (min(a, b), max(a, b))
+        best[key] = max(best.get(key, w), w)
+    keys = sorted(best)
+    us = np.asarray([u for u, _ in keys], dtype=np.int64)
+    vs = np.asarray([v for _, v in keys], dtype=np.int64)
+    ws = np.asarray([best[e] for e in keys], dtype=np.float64)
+
+    parent = []
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    remaining = [e for e in range(len(keys)) if us[e] != vs[e]]
+    forests, weights, flags, taken = [], [], [], set()
+    for _ in range(k_parts):
+        if not remaining:
+            flags.append(f"exhausted_after={len(forests)}")
+            break
+        rem = np.asarray(remaining, dtype=np.int64)
+        order = rem[np.lexsort((vs[rem], us[rem], -ws[rem]))]
+        parent[:] = range(g.n)
+        accepted = []
+        for e in order.tolist():
+            ra, rb = find(int(us[e])), find(int(vs[e]))
+            if ra != rb:
+                parent[rb] = ra
+                accepted.append(e)
+        idx = np.asarray(accepted, dtype=np.int64)
+        weights.append(max(float(ws[idx].sum()), k_parts * 1e-3))
+        forests.append(np.stack([us[np.sort(idx)], vs[np.sort(idx)]], axis=1))
+        taken.update(accepted)
+        remaining = [e for e in remaining if e not in taken]
+    left = np.asarray([e for e in range(len(keys)) if e not in taken], dtype=np.int64)
+    return forests, weights, np.stack([us[left], vs[left]], axis=1), flags
+
+
 # ---------------------------------------------------------- aggregation
 
 

@@ -33,7 +33,7 @@ class TestFromEdges:
     def test_duplicate_edges_keep_max_weight(self):
         g = G.from_edges(2, [0, 0], [1, 1], [0.5, 2.0], directed=True)
         assert g.m == 1
-        assert g.neighbor_weights(0)[0] == 2.0
+        assert g.weights[g.offsets[0] : g.offsets[1]][0] == 2.0
 
     def test_rows_sorted_dedup(self):
         g = G.from_edges(4, [2, 2, 2], [3, 1, 3], directed=True)

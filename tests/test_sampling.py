@@ -3,6 +3,7 @@ import pytest
 from oracles import (
     build_subgraph_dict,
     edge_weights_dict,
+    kruskal_forests,
     sample_frontier_loop,
     walk_edges_loop,
 )
@@ -509,6 +510,86 @@ class TestDisjointDecompose:
             SA.disjoint_decompose(g, np.ones(g.m + 1), 1)
         with pytest.raises(ValueError, match="nonnegative"):
             SA.disjoint_decompose(g, -np.ones(g.m), 1)
+
+
+class TestDisjointKruskalOracle:
+    """Every part and forest weight equals the Kruskal loop's, byte for byte."""
+
+    def assert_matches(self, g, w, k):
+        col = SA.disjoint_decompose(g, w, k)
+        forests, weights, residual, flags = kruskal_forests(g, w, k)
+        assert col.flags == flags
+        assert col.forest_count == len(forests)
+        for i, (edges, weight) in enumerate(zip(forests, weights)):
+            assert col.part_edges(i).tobytes() == edges.tobytes()
+            assert np.float64(col.parts[i][1]).tobytes() == np.float64(weight).tobytes()
+        assert col.part_edges(len(forests)).tobytes() == residual.tobytes()
+        assert col.parts[-1][1] == 0.0
+        return col
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_random_graphs_with_tied_weights(self, levels):
+        # random endpoints give self-loops, several components and, with
+        # n above the largest id drawn, isolated nodes
+        rng = np.random.default_rng(10 + levels)
+        for _ in range(150):
+            n = int(rng.integers(1, 30))
+            m = int(rng.integers(0, 60))
+            g = G.from_edges(
+                n + int(rng.integers(0, 3)),
+                rng.integers(0, n, size=m), rng.integers(0, n, size=m),
+                directed=False,
+            )
+            w = 0.25 + rng.integers(0, levels, size=g.m) / levels
+            self.assert_matches(g, w, int(rng.integers(1, 5)))
+
+    def test_all_equal_weights_several_components(self):
+        # a 5-clique, a 4-cycle, a path, self-loops and isolated nodes 15-16
+        clique = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+        cycle = [(5, 6), (6, 7), (7, 8), (5, 8)]
+        path = [(9, 10), (10, 11), (11, 12)]
+        loops = [(0, 0), (7, 7), (13, 13), (14, 14)]
+        src, dst = zip(*(clique + cycle + path + loops))
+        g = G.from_edges(17, src, dst, directed=False)
+        for k in (1, 2, 3, 4):
+            col = self.assert_matches(g, np.full(g.m, 0.5), k)
+        assert col.forest_count == 4
+        assert (13, 13) in {tuple(e) for e in col.part_edges(4).tolist()}
+
+    def test_long_hook_chains(self):
+        # weights rising along a path make every node hook onto its right
+        # neighbour, one chain as long as the path, and the lighter chords
+        # (i, i + 2) wait for the second forest. A denser random graph
+        # with two weight levels takes several rounds per forest.
+        n = 200
+        src = np.concatenate([np.arange(n - 1), np.arange(n - 2)])
+        dst = np.concatenate([np.arange(1, n), np.arange(2, n)])
+        g = G.from_edges(n, src, dst, directed=False)
+        pairs = g.edge_array()
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        w = np.where(hi - lo == 1, 1.0 + lo, 0.5)
+        col = self.assert_matches(g, w, 3)
+        assert col.part_edges(0).tolist() == [[i, i + 1] for i in range(n - 1)]
+        rng = np.random.default_rng(3)
+        g = G.from_edges(
+            300, rng.integers(0, 300, size=1500), rng.integers(0, 300, size=1500),
+            directed=False,
+        )
+        self.assert_matches(g, rng.integers(1, 3, size=g.m) / 2.0, 4)
+
+    def test_exhausted_after_flag(self):
+        # a triangle and a separate edge: two forests take all four edges
+        g = G.from_edges(6, [0, 1, 0, 3, 5], [1, 2, 2, 4, 5], directed=False)
+        col = self.assert_matches(g, np.ones(g.m), 4)
+        assert col.flags == ["exhausted_after=2"]
+        assert col.forest_count == 2
+        assert {tuple(e) for e in col.part_edges(2).tolist()} == {(5, 5)}
+
+    def test_weight_floor(self):
+        g = G.from_edges(4, [0, 1, 2, 0], [1, 2, 3, 2], directed=False)
+        for k in (1, 3):
+            col = self.assert_matches(g, np.full(g.m, 1e-9), k)
+            assert col.parts[0][1] == k * 1e-3
 
 
 class TestDisjointSample:
