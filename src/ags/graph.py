@@ -1,10 +1,10 @@
 """Immutable attributed-graph core.
 
 A graph is stored as CSR adjacency: ``offsets`` (length n+1) indexes into
-``targets`` (length m, the directed edge count) and the optional parallel
-``weights`` array. Rows are sorted by target id and deduplicated, so the
-neighborhood of ``u`` is ``targets[offsets[u]:offsets[u+1]]``. Undirected
-graphs store both orientations of every edge; self-loops are stored once.
+``targets`` (length m, the directed edge count). Rows are sorted by target
+id and deduplicated, so the neighborhood of ``u`` is
+``targets[offsets[u]:offsets[u+1]]``. Undirected graphs store both
+orientations of every edge; self-loops are stored once.
 
 Node features are float64 arrays of shape (n, f); labels are int64 arrays
 with classes 0..c-1 where c = 1 + max(label). Everything here is immutable
@@ -41,7 +41,6 @@ class Graph:
     n: int
     offsets: np.ndarray
     targets: np.ndarray
-    weights: np.ndarray | None
     directed: bool
 
     @property
@@ -81,11 +80,6 @@ class Graph:
             row = self.neighbors(u)
             if row.shape[0] > 1 and np.any(np.diff(row) <= 0):
                 raise ValueError(f"row {u} not strictly increasing")
-        if self.weights is not None:
-            if self.weights.shape[0] != self.m:
-                raise ValueError("weights length must equal m")
-            if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
-                raise ValueError("weights must be finite and nonnegative")
         if not self.directed:
             edges = self.edge_array()
             fwd = {(int(u), int(v)) for u, v in edges}
@@ -98,22 +92,18 @@ def from_edges(
     n: int,
     sources,
     targets,
-    weights=None,
     directed: bool = False,
 ) -> Graph:
     """Build a CSR graph from parallel edge arrays.
 
-    Duplicate edges are merged keeping the maximum weight. When
-    ``directed`` is false the reverse of every edge is added before the
-    merge, so the result is symmetric; self-loops stay single entries.
+    Duplicate edges are merged. When ``directed`` is false the reverse of
+    every edge is added before the merge, so the result is symmetric;
+    self-loops stay single entries.
     """
     src = np.asarray(sources, dtype=np.int64)
     dst = np.asarray(targets, dtype=np.int64)
     if src.shape != dst.shape:
         raise ValueError("sources and targets must have equal length")
-    w = None if weights is None else np.asarray(weights, dtype=np.float64)
-    if w is not None and w.shape != src.shape:
-        raise ValueError("weights must parallel the edge arrays")
     if src.size:
         if min(src.min(), dst.min()) < 0:
             raise ValueError("negative node id")
@@ -121,22 +111,16 @@ def from_edges(
             raise ValueError("node id out of range")
     if not directed and src.size:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        if w is not None:
-            w = np.concatenate([w, w])
 
     if src.size:
-        # Lexicographic merge: unique (src, dst) pairs, max weight per pair.
+        # Lexicographic merge: unique (src, dst) pairs.
         keys = src * np.int64(n) + dst
         order = np.argsort(keys, kind="stable")
         keys, src, dst = keys[order], src[order], dst[order]
         # the keys are sorted, so each run of equal keys starts where a
         # key differs from its predecessor (``np.unique`` would sort again)
         first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-        if w is not None:
-            w = w[order]
-            merged_w = np.maximum.reduceat(w, first)
         src, dst = src[first], dst[first]
-        w = merged_w if w is not None else None
 
     counts = np.bincount(src, minlength=n) if src.size else np.zeros(n, dtype=np.int64)
     offsets = np.zeros(n + 1, dtype=np.int64)
@@ -145,7 +129,6 @@ def from_edges(
         n=n,
         offsets=_frozen(offsets),
         targets=_frozen(dst.astype(np.int64)),
-        weights=None if w is None else _frozen(w),
         directed=directed,
     )
     return g
@@ -154,15 +137,15 @@ def from_edges(
 def load_edge_list(path: str, directed: bool = False) -> Graph:
     """Load a whitespace- or TAB-separated edge list.
 
-    Lines are ``u v [w]`` with 0-based ids; ``#`` starts a comment. An
-    optional header comment ``# n=<N>`` declares the node count, in which
-    case ids must stay below it. Without a header n = 1 + max id.
+    Lines are ``u v [w]`` with 0-based ids; ``#`` starts a comment. The
+    optional weight ``w`` must be a finite number >= 0 and is otherwise
+    ignored. An optional header comment ``# n=<N>`` declares the node
+    count, in which case ids must stay below it. Without a header
+    n = 1 + max id.
     """
     declared_n = None
     srcs: list[int] = []
     dsts: list[int] = []
-    wts: list[float] = []
-    saw_weight = False
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -185,9 +168,7 @@ def load_edge_list(path: str, directed: bool = False) -> Graph:
                 raise ValueError(f"line {lineno}: non-integer node id in {line!r}")
             if u < 0 or v < 0:
                 raise ValueError(f"line {lineno}: negative node id")
-            w = 1.0
             if len(parts) == 3:
-                saw_weight = True
                 try:
                     w = float(parts[2])
                 except ValueError:
@@ -200,13 +181,12 @@ def load_edge_list(path: str, directed: bool = False) -> Graph:
                 )
             srcs.append(u)
             dsts.append(v)
-            wts.append(w)
     if declared_n is not None:
         n = declared_n
     else:
         n = 1 + max(max(srcs, default=-1), max(dsts, default=-1))
         n = max(n, 0)
-    return from_edges(n, srcs, dsts, wts if saw_weight else None, directed=directed)
+    return from_edges(n, srcs, dsts, directed=directed)
 
 
 def load_features(path: str) -> np.ndarray:

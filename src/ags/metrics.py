@@ -53,22 +53,38 @@ def chi2_critical_95(dof: int) -> float:
     return dof * (1.0 - a + _Z_95 * math.sqrt(a)) ** 3
 
 
+def _check_labels(g: Graph, y: np.ndarray) -> None:
+    if y.shape[0] != g.n:
+        raise ValueError(f"labels length {y.shape[0]} does not match graph nodes {g.n}")
+
+
+def _neighbor_label_counts(g: Graph, y: np.ndarray) -> np.ndarray:
+    """(n, c) int64 matrix whose [u, k] entry counts u's neighbors with label k."""
+    _check_labels(g, y)
+    n, c = g.n, num_classes(y)
+    row = np.repeat(np.arange(n, dtype=np.int64), g.degrees())
+    return np.bincount(row * c + y[g.targets], minlength=n * c).reshape(n, c)
+
+
 def local_homophily_values(g: Graph, y: np.ndarray) -> np.ndarray:
     """Per-node local homophily; NaN marks isolated nodes."""
+    same = _neighbor_label_counts(g, y)[np.arange(g.n), y]
+    deg = g.degrees()
+    ok = deg > 0
     out = np.full(g.n, np.nan)
-    for u in range(g.n):
-        nbrs = g.neighbors(u)
-        if nbrs.shape[0]:
-            out[u] = np.mean(y[nbrs] == y[u])
+    out[ok] = same[ok] / deg[ok]
     return out
 
 
-def node_homophily(g: Graph, y: np.ndarray) -> float:
-    local = local_homophily_values(g, y)
+def _mean_local(local: np.ndarray) -> float:
     ok = ~np.isnan(local)
     if not ok.any():
         raise ValueError("all nodes isolated; node homophily undefined")
     return float(local[ok].mean())
+
+
+def node_homophily(g: Graph, y: np.ndarray) -> float:
+    return _mean_local(local_homophily_values(g, y))
 
 
 def _undirected_edge_iter(g: Graph):
@@ -81,6 +97,7 @@ def _undirected_edge_iter(g: Graph):
 
 
 def edge_homophily(g: Graph, y: np.ndarray) -> float:
+    _check_labels(g, y)
     edges = _undirected_edge_iter(g)
     if edges.shape[0] == 0:
         raise ValueError("graph has no edges")
@@ -100,6 +117,7 @@ def adjusted_homophily(g: Graph, y: np.ndarray) -> float:
     edge homophily 1) has a 0/0 correction term and is defined as 1.0 by
     the fully-homophilic limit; homophily_report flags it.
     """
+    _check_labels(g, y)
     if g.m == 0:
         raise ValueError("graph has no edges")
     h_e = edge_homophily(g, y)
@@ -117,38 +135,43 @@ def adjusted_homophily(g: Graph, y: np.ndarray) -> float:
 
 
 def class_insensitive_homophily(g: Graph, y: np.ndarray) -> float:
-    c = num_classes(y)
+    counts = _neighbor_label_counts(g, y)
+    n, c = counts.shape
     if c < 2:
         raise ValueError("need at least 2 classes")
-    n = g.n
+    # per class: same-label endpoints, incident endpoints and members, all
+    # integers, so each float division below is the exact ratio rounded
+    same = np.bincount(y, weights=counts[np.arange(n), y], minlength=c)
+    incident = np.bincount(y, weights=g.degrees(), minlength=c)
+    members = np.bincount(y, minlength=c)
     total = 0.0
-    for k in range(c):
-        members = np.flatnonzero(y == k)
-        same = 0
-        incident = 0
-        for u in members:
-            nbrs = g.neighbors(u)
-            incident += nbrs.shape[0]
-            same += int(np.sum(y[nbrs] == k))
-        h_k = same / incident if incident else 0.0
-        total += max(0.0, h_k - members.shape[0] / n)
+    for s_k, i_k, m_k in zip(same.tolist(), incident.tolist(), members.tolist()):
+        h_k = s_k / i_k if i_k else 0.0
+        total += max(0.0, h_k - m_k / n)
     return total / (c - 1)
 
 
 def entropy_score(g: Graph, y: np.ndarray) -> float:
-    c = num_classes(y)
+    counts = _neighbor_label_counts(g, y)
+    c = counts.shape[1]
     if c <= 1:
         return 0.0
     log_c = math.log(c)
-    acc = 0.0
-    for u in range(g.n):
-        nbrs = g.neighbors(u)
-        if nbrs.shape[0] == 0:
-            continue
-        counts = np.bincount(y[nbrs], minlength=c).astype(np.float64)
-        p = counts[counts > 0] / nbrs.shape[0]
-        acc += float(-(p * np.log(p)).sum()) / log_c
-    return acc / g.n
+    deg = g.degrees()
+    present = (counts > 0).sum(axis=1)
+    terms = np.zeros(g.n)
+    # Rows are summed in groups of equal present-label count, each as a
+    # dense (rows, k) array: a row reduction over exactly the present
+    # labels keeps the bits of a 1-d pairwise sum over that row alone,
+    # where zero padding or a sequential reduceat would not.
+    for k in np.unique(present[present > 0]):
+        rows = np.flatnonzero(present == k)
+        sub = counts[rows]
+        p = sub[sub > 0].reshape(rows.size, k) / deg[rows, None]
+        terms[rows] = -(p * np.log(p)).sum(axis=1) / log_c
+    # cumsum adds in node order, one term at a time, from 0.0
+    acc = np.cumsum(np.concatenate([[0.0], terms]))[-1]
+    return float(acc) / g.n
 
 
 def uniformity_score(g: Graph, y: np.ndarray) -> tuple[float, int]:
@@ -157,24 +180,17 @@ def uniformity_score(g: Graph, y: np.ndarray) -> tuple[float, int]:
     Nodes with degree below c cannot pass and auto-fail; the second return
     value counts them so reports can flag it.
     """
-    c = num_classes(y)
+    counts = _neighbor_label_counts(g, y)
+    c = counts.shape[1]
     if c < 2:
         raise ValueError("need at least 2 classes")
     crit = chi2_critical_95(c - 1)
-    passes = 0
-    auto_fail = 0
-    for u in range(g.n):
-        nbrs = g.neighbors(u)
-        d = nbrs.shape[0]
-        if d < c:
-            auto_fail += 1
-            continue
-        counts = np.bincount(y[nbrs], minlength=c).astype(np.float64)
-        expected = d / c
-        stat = float(((counts - expected) ** 2 / expected).sum())
-        if stat <= crit:
-            passes += 1
-    return passes / g.n, auto_fail
+    deg = g.degrees()
+    tested = deg >= c
+    expected = (deg[tested] / c)[:, None]
+    stat = ((counts[tested] - expected) ** 2 / expected).sum(axis=1)
+    passes = int((stat <= crit).sum())
+    return passes / g.n, g.n - int(tested.sum())
 
 
 def degree_assortativity(g: Graph) -> float | None:
@@ -222,6 +238,7 @@ def feature_label_correlation(
     "random_pairs" draws uniform node pairs, and "balanced" mixes every
     edge with an equal number of random non-edges.
     """
+    _check_labels(g, y)
     if rng is None:
         rng = np.random.default_rng(0)
     if pairing == "edges":
@@ -325,7 +342,7 @@ def homophily_report(
         h_u = 0.0
         flags.append("single_class")
     report = HomophilyReport(
-        h_node=node_homophily(g, y),
+        h_node=_mean_local(local),
         h_edge=edge_homophily(g, y),
         h_adjusted=h_adj,
         h_class_insensitive=h_ci,

@@ -5,6 +5,8 @@ difference the loss directly, so an error in the hand-written backprop
 cannot hide in the oracle.
 """
 
+import math
+
 import numpy as np
 
 
@@ -389,3 +391,78 @@ def lemma_gain_masses(g, x, y, egos, sim, fn_kind, model=None, lam=2.0):
         same.append(float(gains[y[nbrs] == y[t]].sum()))
         total.append(float(gains.sum()))
     return np.asarray(same), np.asarray(total)
+
+
+# ---------------------------------------------------------------- homophily
+#
+# Per-node loops over CSR rows, the way the homophily measures counted
+# neighbour labels before one (n, c) count matrix. Each keeps its own
+# float operations in their own order, so the library must match them to
+# the bit. They share only ``Graph.neighbors`` with the library.
+
+
+def local_homophily_loop(g, y):
+    out = np.full(g.n, np.nan)
+    for u in range(g.n):
+        nbrs = g.neighbors(u)
+        if nbrs.shape[0]:
+            out[u] = np.mean(y[nbrs] == y[u])
+    return out
+
+
+def node_homophily_loop(g, y):
+    local = local_homophily_loop(g, y)
+    ok = ~np.isnan(local)
+    return float(local[ok].mean())
+
+
+def class_insensitive_loop(g, y):
+    c = int(y.max()) + 1
+    n = g.n
+    total = 0.0
+    for k in range(c):
+        members = np.flatnonzero(y == k)
+        same = 0
+        incident = 0
+        for u in members:
+            nbrs = g.neighbors(u)
+            incident += nbrs.shape[0]
+            same += int(np.sum(y[nbrs] == k))
+        h_k = same / incident if incident else 0.0
+        total += max(0.0, h_k - members.shape[0] / n)
+    return total / (c - 1)
+
+
+def entropy_loop(g, y):
+    c = int(y.max()) + 1
+    if c <= 1:
+        return 0.0
+    log_c = math.log(c)
+    acc = 0.0
+    for u in range(g.n):
+        nbrs = g.neighbors(u)
+        if nbrs.shape[0] == 0:
+            continue
+        counts = np.bincount(y[nbrs], minlength=c).astype(np.float64)
+        p = counts[counts > 0] / nbrs.shape[0]
+        acc += float(-(p * np.log(p)).sum()) / log_c
+    return acc / g.n
+
+
+def uniformity_loop(g, y, crit):
+    """(pass fraction, auto-fail count) against the critical value crit."""
+    c = int(y.max()) + 1
+    passes = 0
+    auto_fail = 0
+    for u in range(g.n):
+        nbrs = g.neighbors(u)
+        d = nbrs.shape[0]
+        if d < c:
+            auto_fail += 1
+            continue
+        counts = np.bincount(y[nbrs], minlength=c).astype(np.float64)
+        expected = d / c
+        stat = float(((counts - expected) ** 2 / expected).sum())
+        if stat <= crit:
+            passes += 1
+    return passes / g.n, auto_fail

@@ -76,6 +76,14 @@ class TestDispatch:
         assert sum(report["histogram"]) <= report["n"]
         assert "feature_label_r" in report
 
+    def test_analyze_label_count_mismatch_exits_1(self, workdir, tmp_path, capsys):
+        short = tmp_path / "y_short.txt"
+        short.write_text("0\n1\n0\n")
+        code = cli.main(["analyze", *graph_flags(workdir), "--labels", str(short),
+                         "--out", str(tmp_path / "report.json")])
+        assert code == 1
+        assert "labels length 3 does not match graph nodes" in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self, workdir):
         assert cli.main(["analyze", *graph_flags(workdir),
                          "--labels", p(workdir, "y.txt"), "--bogus"]) == 2

@@ -7,12 +7,11 @@ from oracles import build_subgraph_dict
 from ags import graph as G
 
 
-def fuzz_graph(rng, n_max=30, p=0.1, directed=False, weighted=False):
+def fuzz_graph(rng, n_max=30, p=0.1, directed=False):
     n = int(rng.integers(1, n_max + 1))
     mask = rng.random((n, n)) < p
     src, dst = np.nonzero(mask)
-    w = rng.random(src.shape[0]) if weighted else None
-    return G.from_edges(n, src, dst, w, directed=directed)
+    return G.from_edges(n, src, dst, directed=directed)
 
 
 class TestFromEdges:
@@ -30,10 +29,14 @@ class TestFromEdges:
         assert g.n == 1 and g.m == 1
         assert list(g.neighbors(0)) == [0]
 
-    def test_duplicate_edges_keep_max_weight(self):
-        g = G.from_edges(2, [0, 0], [1, 1], [0.5, 2.0], directed=True)
-        assert g.m == 1
-        assert g.weights[g.offsets[0] : g.offsets[1]][0] == 2.0
+    def test_duplicate_edges_merge(self):
+        g = G.from_edges(3, [0, 0, 2, 0], [1, 1, 0, 1], directed=True)
+        assert g.m == 2
+        assert list(g.neighbors(0)) == [1]
+        assert list(g.neighbors(2)) == [0]
+        u = G.from_edges(2, [0, 1, 0], [1, 0, 1], directed=False)
+        assert u.m == 2
+        assert list(u.neighbors(0)) == [1] and list(u.neighbors(1)) == [0]
 
     def test_rows_sorted_dedup(self):
         g = G.from_edges(4, [2, 2, 2], [3, 1, 3], directed=True)
@@ -47,20 +50,19 @@ class TestFromEdges:
     def test_csr_validity_fuzz(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
-            g = fuzz_graph(rng, directed=bool(rng.integers(2)), weighted=True)
+            g = fuzz_graph(rng, directed=bool(rng.integers(2)))
             g.validate()
 
     def test_symmetrize_idempotent(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            g = fuzz_graph(rng, directed=True, weighted=True)
+            g = fuzz_graph(rng, directed=True)
             e = g.edge_array()
-            u1 = G.from_edges(g.n, e[:, 0], e[:, 1], g.weights, directed=False)
+            u1 = G.from_edges(g.n, e[:, 0], e[:, 1], directed=False)
             e1 = u1.edge_array()
-            u2 = G.from_edges(g.n, e1[:, 0], e1[:, 1], u1.weights, directed=False)
+            u2 = G.from_edges(g.n, e1[:, 0], e1[:, 1], directed=False)
             assert np.array_equal(u1.offsets, u2.offsets)
             assert np.array_equal(u1.targets, u2.targets)
-            assert np.array_equal(u1.weights, u2.weights)
 
 
 class TestLoaders:
@@ -87,6 +89,23 @@ class TestLoaders:
         p.write_text("0 1 -2.0\n")
         with pytest.raises(ValueError, match="weight"):
             G.load_edge_list(str(p))
+
+    @pytest.mark.parametrize("w", ["abc", "nan", "inf"])
+    def test_bad_weight_rejected_with_line(self, tmp_path, w):
+        p = tmp_path / "g.edges"
+        p.write_text(f"0 1 1.5\n1 2 {w}\n")
+        with pytest.raises(ValueError, match="line 2.*weight"):
+            G.load_edge_list(str(p))
+
+    def test_weight_column_ignored(self, tmp_path):
+        p = tmp_path / "w.edges"
+        p.write_text("0 1 0.5\n1 2 7\n0 1 3.0\n")
+        q = tmp_path / "plain.edges"
+        q.write_text("0 1\n1 2\n")
+        g, h = G.load_edge_list(str(p)), G.load_edge_list(str(q))
+        assert g.n == h.n == 3
+        assert np.array_equal(g.offsets, h.offsets)
+        assert np.array_equal(g.targets, h.targets)
 
     def test_features_roundtrip(self, tmp_path):
         p = tmp_path / "x.csv"

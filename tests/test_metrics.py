@@ -4,9 +4,12 @@ The oracle below recomputes every metric with plain Python loops over an
 adjacency-set representation, sharing no code with the library paths.
 """
 
+import json
 import math
+import warnings
 
 import numpy as np
+import oracles as O
 import pytest
 
 from ags import graph as G
@@ -392,3 +395,110 @@ class TestReport:
         rep = M.homophily_report(g, y)
         s = json.dumps(rep.to_dict(), sort_keys=True)
         assert "h_node" in s
+
+
+# ------------------------------------------------- per-node loop equality
+
+def differential_graph(c, seed, directed=False):
+    """A dense core of 170 nodes with self-loops and a hub of 160
+    neighbours, 47 pendant nodes of degree 1 (below c for c >= 2), three
+    isolated nodes and, for c >= 2, no member of class 0."""
+    rng = np.random.default_rng([c, seed])
+    n, core = 220, 170
+    pendants = np.arange(core, n - 3)
+    loops = rng.integers(0, core, size=8)
+    src = np.concatenate([rng.integers(0, core, size=1500), loops, pendants, np.full(160, 5)])
+    dst = np.concatenate([
+        rng.integers(0, core, size=1500), loops,
+        rng.integers(0, core, size=pendants.size), rng.permutation(np.arange(6, core))[:160],
+    ])
+    y = rng.integers(0, c, size=n)
+    if c >= 2:
+        y[y == 0] = c - 1
+    return G.from_edges(n, src, dst, directed=directed), y.astype(np.int64)
+
+
+def loop_report(g, y, monkeypatch):
+    """homophily_report assembled from the per-node loop measures."""
+    with monkeypatch.context() as mp:
+        mp.setattr(M, "local_homophily_values", O.local_homophily_loop)
+        mp.setattr(M, "class_insensitive_homophily", O.class_insensitive_loop)
+        mp.setattr(M, "entropy_score", O.entropy_loop)
+        mp.setattr(
+            M, "uniformity_score",
+            lambda g, y: O.uniformity_loop(g, y, M.chi2_critical_95(int(y.max()))),
+        )
+        return M.homophily_report(g, y).to_dict()
+
+
+def bits(value):
+    """JSON text: equal only for equal bits, -0.0 and NaN included."""
+    return json.dumps(value, sort_keys=True)
+
+
+class TestLoopEquality:
+    """Every neighbour-label measure keeps the per-node loops' bits."""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("c", [1, 2, 3, 7, 8, 9, 12, 20])
+    def test_measures_and_report(self, c, directed, monkeypatch):
+        for seed in range(3):
+            g, y = differential_graph(c, seed, directed)
+            deg = g.degrees()
+            assert deg.max() >= 160 and (deg == 0).sum() >= 3
+            assert c == 1 or np.any((deg > 0) & (deg < c))
+            assert c == 1 or not np.any(y == 0)
+            local = M.local_homophily_values(g, y)
+            assert local.tobytes() == O.local_homophily_loop(g, y).tobytes()
+            assert bits(M.node_homophily(g, y)) == bits(O.node_homophily_loop(g, y))
+            assert bits(M.entropy_score(g, y)) == bits(O.entropy_loop(g, y))
+            if c >= 2:
+                assert bits(M.class_insensitive_homophily(g, y)) == bits(
+                    O.class_insensitive_loop(g, y))
+                crit = M.chi2_critical_95(c - 1)
+                assert bits(M.uniformity_score(g, y)) == bits(O.uniformity_loop(g, y, crit))
+            else:
+                with pytest.raises(ValueError, match="2 classes"):
+                    M.class_insensitive_homophily(g, y)
+                with pytest.raises(ValueError, match="2 classes"):
+                    M.uniformity_score(g, y)
+            assert bits(M.homophily_report(g, y).to_dict()) == bits(loop_report(g, y, monkeypatch))
+
+
+def _cosine_measure(g, y):
+    return M.feature_label_correlation(g, np.eye(4), y, cosine)
+
+
+class TestLabelLength:
+    @pytest.mark.parametrize("k", [3, 6])
+    @pytest.mark.parametrize("measure", [
+        M.local_homophily_values, M.node_homophily, M.edge_homophily,
+        M.adjusted_homophily, M.class_insensitive_homophily, M.entropy_score,
+        M.uniformity_score, M.homophily_report, _cosine_measure,
+    ])
+    def test_labels_not_fitting_graph_rejected(self, measure, k):
+        g = G.from_edges(4, [0, 1, 2, 3], [1, 2, 3, 0], directed=False)
+        y = np.arange(k, dtype=np.int64) % 2
+        with pytest.raises(ValueError, match=f"labels length {k} .* graph nodes 4"):
+            measure(g, y)
+
+
+class TestNoWarnings:
+    @pytest.mark.parametrize("n", [6, 8])
+    @pytest.mark.parametrize("labels", [
+        [0, 1, 0, 1, 0, 1, 2, 2],  # each neighbourhood holds one label
+        [0, 0, 0, 0, 0, 0, 1, 2],  # single-class component
+        [0, 0, 0, 0, 0, 0, 0, 0],  # one class
+    ])
+    def test_report_raises_no_warning(self, n, labels, monkeypatch):
+        # a 6-cycle, and two isolated nodes when n = 8
+        g = G.from_edges(n, [0, 1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0], directed=False)
+        y = np.asarray(labels[:n], dtype=np.int64)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            rep = M.homophily_report(g, y)
+        assert ("isolated_nodes=2" in rep.flags) == (n == 8)
+        # each node sees one label, so its term is -0.0; the loop summed
+        # from 0.0 and got +0.0
+        assert bits(rep.h_entropy) == "0.0"
+        assert bits(rep.to_dict()) == bits(loop_report(g, y, monkeypatch))
