@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, demo, metrics, ranking, sampling, similarity, synth
+from . import __version__, demo, metrics, ranking, sampling, similarity, synth, textscan
 from .graph import (
     Graph,
     Subgraph,
@@ -90,17 +90,11 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 def _load_id_file(path: str) -> np.ndarray:
-    ids = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                ids.append(int(line))
-            except ValueError:
-                raise ValueError(f"seed file line {lineno}: not an integer")
-    return np.asarray(ids, dtype=np.int64)
+    """One node id per line, read like labels (``textscan.int_column``)."""
+    col = textscan.int_column(path)
+    if col.bad_line is not None:
+        raise ValueError(f"seed file line {col.bad_line}: not an integer")
+    return col.values
 
 
 @dataclass
@@ -185,13 +179,23 @@ def _load_graph_features_labels(ns, ctx, features_required=True):
     g = load_edge_list(ctx.digest(ns.graph))
     x = None
     if getattr(ns, "features", None):
-        x = load_features(ctx.digest(ns.features))
+        x = _one_row_per_node(load_features(ctx.digest(ns.features)), "features", ns, g)
     elif features_required:
         raise ValueError("this command needs --features")
     y = None
     if getattr(ns, "labels", None):
-        y = load_labels(ctx.digest(ns.labels))
+        y = _one_row_per_node(load_labels(ctx.digest(ns.labels)), "labels", ns, g)
     return g, x, y
+
+
+def _one_row_per_node(arr: np.ndarray, flag: str, ns, g: Graph) -> np.ndarray:
+    """``arr`` unless its row count is not the graph's n."""
+    if arr.shape[0] != g.n:
+        raise ValueError(
+            f"{flag} length {arr.shape[0]} does not match graph nodes ({g.n}): "
+            f"{getattr(ns, flag)} against {ns.graph}"
+        )
+    return arr
 
 
 def _pmf_from(ns, ctx) -> ranking.PmfSpec:

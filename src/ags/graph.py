@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import textscan
+
 RANK_TABLE_MAGIC = b"AGSR"
 RANK_TABLE_VERSION = 1
 # magic(4) version(4) mode(1) pmf(1) pad(2) n(8) m(8) params(6*8)
@@ -137,105 +139,151 @@ def from_edges(
 def load_edge_list(path: str, directed: bool = False) -> Graph:
     """Load a whitespace- or TAB-separated edge list.
 
-    Lines are ``u v [w]`` with 0-based ids; ``#`` starts a comment. The
-    optional weight ``w`` must be a finite number >= 0 and is otherwise
-    ignored. An optional header comment ``# n=<N>`` declares the node
-    count, in which case ids must stay below it. Without a header
-    n = 1 + max id.
+    Lines are ``u v [w]`` with 0-based ASCII decimal ids. The optional
+    weight ``w`` may appear on some lines only; it must be a finite
+    number >= 0 and is otherwise ignored. A comment on a line of its own
+    of the form ``# n=<N>`` declares the node count: every id in the file
+    must stay below it, wherever the header sits, and two headers must
+    agree. Without a header n = 1 + max id. Line ends, comments and
+    number forms follow ``textscan``. Errors name the first bad line.
     """
-    declared_n = None
-    srcs: list[int] = []
-    dsts: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line.startswith("#"):
-                header = line[1:].strip().replace(" ", "")
-                if header.startswith("n="):
-                    try:
-                        declared_n = int(header[2:])
-                    except ValueError:
-                        raise ValueError(f"line {lineno}: bad header {line!r}")
-                continue
-            if not line:
-                continue
-            parts = line.replace("\t", " ").split()
-            if len(parts) not in (2, 3):
-                raise ValueError(f"line {lineno}: expected 'u v [w]', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"line {lineno}: non-integer node id in {line!r}")
-            if u < 0 or v < 0:
-                raise ValueError(f"line {lineno}: negative node id")
-            if len(parts) == 3:
-                try:
-                    w = float(parts[2])
-                except ValueError:
-                    raise ValueError(f"line {lineno}: non-numeric weight in {line!r}")
-                if not np.isfinite(w) or w < 0:
-                    raise ValueError(f"line {lineno}: weight must be finite and >= 0")
-            if declared_n is not None and max(u, v) >= declared_n:
-                raise ValueError(
-                    f"line {lineno}: id {max(u, v)} >= declared n={declared_n}"
-                )
-            srcs.append(u)
-            dsts.append(v)
+    s = textscan.scan(path)
+    count = s.tokens_per_line()
+    declared_n, header_error = _edge_list_header(s, count)
+    col = np.arange(s.starts.size) - (np.cumsum(count) - count)[s.line]
+    id_tok = np.flatnonzero(col < 2)
+    # structure: 2 or 3 tokens, integer ids
+    bad = (count == 1) | (count > 3)
+    bad[s.line[id_tok[~textscan.int_tokens_ok(s, id_tok)]]] = True
+    stop = int(np.argmax(bad)) if bad.any() else s.n_lines
+    errors = [header_error] if header_error else []
+    if stop < s.n_lines:
+        text = s.line_text(stop)
+        if count[stop] in (2, 3):
+            errors.append((stop, f"non-integer node id in {text!r}"))
+        else:
+            errors.append((stop, f"expected 'u v [w]', got {text!r}"))
+
+    # values of the lines before ``stop``, one edge per line
+    id_tok = id_tok[: np.searchsorted(s.line[id_tok], stop)]
+    ids = textscan.values(s, id_tok, np.int64)
+    src, dst = ids[0::2], ids[1::2]
+    edge_line = s.line[id_tok[0::2]]
+    negative = (ids != 0) & (s.raw[s.starts[id_tok]] == ord("-"))
+    negative = negative[0::2] | negative[1::2]
+    w_tok = np.flatnonzero(col == 2)
+    w_tok = w_tok[: np.searchsorted(s.line[w_tok], stop)]
+    w_ok, w = textscan.real_values(s, w_tok)
+    w_edge = np.searchsorted(edge_line, s.line[w_tok])
+    w_nonnumeric = np.zeros(src.size, dtype=bool)
+    w_nonnumeric[w_edge[~w_ok]] = True
+    w_range = np.zeros(src.size, dtype=bool)
+    w_range[w_edge[w_ok][~(np.isfinite(w) & (w >= 0))]] = True
+    top = np.maximum(src, dst)
+    overflow = top == textscan.INT64_SATURATED
+    too_big = top >= declared_n if declared_n is not None else np.zeros(src.size, dtype=bool)
+    failed = negative | w_nonnumeric | w_range | overflow | too_big
+    if failed.any():
+        i = int(np.argmax(failed))
+        line = int(edge_line[i])
+        if negative[i]:
+            msg = "negative node id"
+        elif w_nonnumeric[i]:
+            msg = f"non-numeric weight in {s.line_text(line)!r}"
+        elif w_range[i]:
+            msg = "weight must be finite and >= 0"
+        elif overflow[i]:
+            msg = "node id out of range"
+        else:
+            msg = f"id {top[i]} >= declared n={declared_n}"
+        errors.append((line, msg))
+    if errors:
+        line, msg = min(errors)
+        raise ValueError(f"line {line + 1}: {msg}")
     if declared_n is not None:
         n = declared_n
     else:
-        n = 1 + max(max(srcs, default=-1), max(dsts, default=-1))
-        n = max(n, 0)
-    return from_edges(n, srcs, dsts, directed=directed)
+        n = int(top.max()) + 1 if top.size else 0
+    return from_edges(n, src, dst, directed=directed)
+
+
+def _edge_list_header(s: textscan.Scan, count: np.ndarray):
+    """The declared n and the first header error as (0-based line, message).
+
+    A header is a comment on a line of its own whose text, spaces
+    removed, starts with ``n=``. Only lines without tokens that hold an
+    ``=`` are read, one at a time.
+    """
+    eq_lines = np.unique(s.lines_of(np.flatnonzero(s.raw == ord("="))))
+    first = None
+    for line in eq_lines[count[eq_lines] == 0].tolist():
+        text = s.line_text(line)
+        header = text[1:].strip().replace(" ", "")
+        if not header.startswith("n="):
+            continue
+        try:
+            n = int(header[2:])
+        except ValueError:
+            return None if first is None else first[1], (line, f"bad header {text!r}")
+        if first is None:
+            first = (line, n)
+        elif n != first[1]:
+            return first[1], (line, f"header n={n} contradicts n={first[1]} on line {first[0] + 1}")
+    return None if first is None else first[1], None
 
 
 def load_features(path: str) -> np.ndarray:
-    """Load a CSV feature matrix; row i is node i. Returns float64 (n, f)."""
-    rows: list[list[float]] = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError:
-                raise ValueError(f"line {lineno}: non-numeric feature value")
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise ValueError(
-                    f"line {lineno}: row length {len(vals)} != {width}"
-                )
-            rows.append(vals)
-    if not rows:
+    """Load a CSV feature matrix; row i is node i. Returns float64 (n, f).
+
+    Values are ASCII reals (``textscan``) separated by commas, with any
+    whitespace around a comma. Every row must have the first row's
+    width. Errors name the first bad line, except that a non-finite
+    value fails after every line parsed.
+    """
+    s = textscan.scan(path, split_commas=True)
+    count = s.tokens_per_line()
+    comma_pos = s.commas()
+    commas = np.bincount(s.lines_of(comma_pos), minlength=s.n_lines)
+    data = (count > 0) | (commas > 0)
+    if not data.any():
         raise ValueError("no rows")
-    X = np.asarray(rows, dtype=np.float64)
+    # a field is a comma-separated cell; each must hold exactly one token
+    field = s.line + np.searchsorted(comma_pos, s.starts)
+    per_field = np.bincount(field, minlength=s.n_lines + int(commas.sum()))
+    nonnumeric = np.zeros(s.n_lines, dtype=bool)
+    nonnumeric[np.repeat(np.arange(s.n_lines), commas + 1)[per_field != 1]] = True
+    nonnumeric &= data
+    ok, X = textscan.real_values(s, np.arange(s.starts.size))
+    nonnumeric[s.line[~ok]] = True
+    width = int(commas[np.argmax(data)]) + 1
+    ragged = data & (commas + 1 != width)
+    bad = nonnumeric | ragged
+    if bad.any():
+        line = int(np.argmax(bad))
+        if nonnumeric[line]:
+            raise ValueError(f"line {line + 1}: non-numeric feature value")
+        raise ValueError(f"line {line + 1}: row length {commas[line] + 1} != {width}")
+    X = X.reshape(-1, width)
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite feature value")
     return _frozen(X)
 
 
 def load_labels(path: str) -> np.ndarray:
-    """Load one integer label per line. Returns int64 (n,); classes 0..c-1."""
-    labels: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                y = int(line)
-            except ValueError:
-                raise ValueError(f"line {lineno}: non-integer label {line!r}")
-            if y < 0:
-                raise ValueError(f"line {lineno}: label out of range")
-            labels.append(y)
-    if not labels:
+    """Load one integer label per line. Returns int64 (n,); classes 0..c-1.
+
+    Labels are ASCII integers (``textscan``); errors name the first bad
+    line.
+    """
+    col = textscan.int_column(path)
+    out = (col.values < 0) | (col.values == textscan.INT64_SATURATED)
+    if out.any():
+        raise ValueError(f"line {col.lines[np.argmax(out)]}: label out of range")
+    if col.bad_line is not None:
+        raise ValueError(f"line {col.bad_line}: non-integer label {col.bad_text!r}")
+    if not col.values.size:
         raise ValueError("no rows")
-    return _frozen(np.asarray(labels, dtype=np.int64))
+    return _frozen(col.values)
 
 
 def num_classes(y: np.ndarray) -> int:

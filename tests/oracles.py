@@ -466,3 +466,122 @@ def uniformity_loop(g, y, crit):
         if stat <= crit:
             passes += 1
     return passes / g.n, auto_fail
+
+
+# -------------------------------------------------------------- loaders
+#
+# Line-by-line text-mode loops, the way the loaders parsed their files
+# before one bulk tokenizer. Each keeps its own checks, in its own order,
+# so the library must give the same arrays and the same first error.
+# They share only ``from_edges`` with the library.
+
+
+def load_edge_list_loop(path: str, directed: bool = False):
+    """``# n=`` applies from its line on; a later header replaces it."""
+    from ags.graph import from_edges
+
+    declared_n = None
+    srcs: list[int] = []
+    dsts: list[int] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line.startswith("#"):
+                header = line[1:].strip().replace(" ", "")
+                if header.startswith("n="):
+                    try:
+                        declared_n = int(header[2:])
+                    except ValueError:
+                        raise ValueError(f"line {lineno}: bad header {line!r}")
+                continue
+            if not line:
+                continue
+            parts = line.replace("\t", " ").split()
+            if len(parts) not in (2, 3):
+                raise ValueError(f"line {lineno}: expected 'u v [w]', got {line!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-integer node id in {line!r}")
+            if u < 0 or v < 0:
+                raise ValueError(f"line {lineno}: negative node id")
+            if len(parts) == 3:
+                try:
+                    w = float(parts[2])
+                except ValueError:
+                    raise ValueError(f"line {lineno}: non-numeric weight in {line!r}")
+                if not np.isfinite(w) or w < 0:
+                    raise ValueError(f"line {lineno}: weight must be finite and >= 0")
+            if declared_n is not None and max(u, v) >= declared_n:
+                raise ValueError(
+                    f"line {lineno}: id {max(u, v)} >= declared n={declared_n}"
+                )
+            srcs.append(u)
+            dsts.append(v)
+    if declared_n is not None:
+        n = declared_n
+    else:
+        n = 1 + max(max(srcs, default=-1), max(dsts, default=-1))
+        n = max(n, 0)
+    return from_edges(n, srcs, dsts, directed=directed)
+
+
+def load_features_loop(path: str) -> np.ndarray:
+    rows: list[list[float]] = []
+    width = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            try:
+                vals = [float(p) for p in parts]
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-numeric feature value")
+            if width is None:
+                width = len(vals)
+            elif len(vals) != width:
+                raise ValueError(
+                    f"line {lineno}: row length {len(vals)} != {width}"
+                )
+            rows.append(vals)
+    if not rows:
+        raise ValueError("no rows")
+    X = np.asarray(rows, dtype=np.float64)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite feature value")
+    return X
+
+
+def load_labels_loop(path: str) -> np.ndarray:
+    labels: list[int] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                y = int(line)
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-integer label {line!r}")
+            if y < 0:
+                raise ValueError(f"line {lineno}: label out of range")
+            labels.append(y)
+    if not labels:
+        raise ValueError("no rows")
+    return np.asarray(labels, dtype=np.int64)
+
+
+def load_id_file_loop(path: str) -> np.ndarray:
+    ids = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                ids.append(int(line))
+            except ValueError:
+                raise ValueError(f"seed file line {lineno}: not an integer")
+    return np.asarray(ids, dtype=np.int64)

@@ -84,6 +84,24 @@ class TestDispatch:
         assert code == 1
         assert "labels length 3 does not match graph nodes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, rows", [("--features", 3), ("--features", 5), ("--labels", 3)])
+    def test_analyze_row_count_not_n_exits_1(self, tmp_path, capsys, flag, rows):
+        """A 4-node cycle with a feature or label file of the wrong length."""
+        files = {"--graph": "0 1\n1 2\n2 3\n3 0\n", "--labels": "0\n1\n0\n1\n",
+                 "--features": "1.0,0.0\n0.0,1.0\n1.0,0.0\n0.0,1.0\n"}
+        files[flag] = "".join(["1\n", "0.5,0.5\n"][flag == "--features"] for _ in range(rows))
+        args = ["analyze"]
+        for name, text in files.items():
+            path = tmp_path / name.strip("-")
+            path.write_text(text)
+            args += [name, str(path)]
+        code = cli.main([*args, "--out", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert not (tmp_path / "report.json").exists()
+        assert f"{flag.strip('-')} length {rows} does not match graph nodes (4)" in err
+        assert str(tmp_path / flag.strip("-")) in err and str(tmp_path / "graph") in err
+
     def test_unknown_flag_exits_2(self, workdir):
         assert cli.main(["analyze", *graph_flags(workdir),
                          "--labels", p(workdir, "y.txt"), "--bogus"]) == 2

@@ -1,9 +1,19 @@
 """Graph core: CSR construction, loaders, subgraphs, rank-table persistence."""
 
+import itertools
+import sys
+
 import numpy as np
 import pytest
-from oracles import build_subgraph_dict
+from oracles import (
+    build_subgraph_dict,
+    load_edge_list_loop,
+    load_features_loop,
+    load_id_file_loop,
+    load_labels_loop,
+)
 
+from ags import cli, textscan
 from ags import graph as G
 
 
@@ -143,6 +153,321 @@ class TestLoaders:
         with pytest.raises(ValueError, match="out of range"):
             G.load_labels(str(p))
 
+    def test_header_after_ids_reports_line(self, tmp_path):
+        p = tmp_path / "g.edges"
+        p.write_text("0 3\n# n=2\n")
+        with pytest.raises(ValueError, match=r"^line 1: id 3 >= declared n=2$"):
+            G.load_edge_list(str(p))
+
+    def test_disagreeing_headers_name_both_lines(self, tmp_path):
+        p = tmp_path / "g.edges"
+        p.write_text("# n=4\n0 1\n#n = 3\n")
+        with pytest.raises(ValueError, match=r"^line 3: header n=3 contradicts n=4 on line 1$"):
+            G.load_edge_list(str(p))
+
+    def test_agreeing_headers_accepted(self, tmp_path):
+        p = tmp_path / "g.edges"
+        p.write_text("# n=4\n0 1\n# n=4\n")
+        assert G.load_edge_list(str(p)).n == 4
+
+    def test_trailing_comments_accepted(self, tmp_path):
+        e, x, y = tmp_path / "g.edges", tmp_path / "x.csv", tmp_path / "y.txt"
+        e.write_text("0 1 # first\n1 2 0.5\t#weighted\n2 0 # n=9: not a header on a data line\n")
+        x.write_text("1.0,2.0 # row 0\n3.0, 4.0#row 1\n")
+        y.write_text("0 # a\n1#b\n")
+        g = G.load_edge_list(str(e))
+        assert g.n == 3 and g.m == 6
+        assert G.load_features(str(x)).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert G.load_labels(str(y)).tolist() == [0, 1]
+
+
+
+# ------------------------------------------------------------ bulk reader
+#
+# Files the per-line oracles and the bulk reader both accept: no comment
+# after data on a line, at most one header, every id below it.
+
+_EOLS = ("\n", "\r\n", "\r")
+_GAPS = (" ", "\t", "  ", " \t ", "\t\t")
+_PADS = ("", "", " ", "\t", " \t")
+
+
+def _pick(rng, options):
+    return options[int(rng.integers(len(options)))]
+
+
+def _int_text(rng, v):
+    return _pick(rng, ("{}", "{}", "+{}", "00{}")).format(v) if v >= 0 else str(v)
+
+
+def _real_text(rng):
+    v = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300))
+    k = int(rng.integers(9))
+    if k == 0:
+        return repr(v)
+    if k == 1:
+        return "%.25e" % v
+    if k == 2:
+        return str(int(rng.integers(-50, 50)))
+    if k == 3:
+        return _pick(rng, ("+2.5", "-0", "0.", ".25", "1E2", "-1e-320", "5e-324", "3.0e+00"))
+    if k == 4:
+        return str(10 ** 29 + int(rng.integers(10 ** 6)))  # a 30-digit integer
+    return "%.17g" % v
+
+
+def _weight_text(rng):
+    return _pick(rng, ("0.5", "7", "1e-3", "+2.5", "0", "-0", "3.", ".25", "1E2",
+                       "0.1000000000000000055511"))
+
+
+def _write(path, lines, rng):
+    """Join lines with random line ends; blank and comment lines between."""
+    parts = []
+    for line in lines:
+        while rng.random() < 0.15:
+            parts.append(_pick(rng, ("", "  ", "\t", "#", "# a comment", "  # x y z", "#n x")))
+        parts.append(line)
+    text = "".join(part + _pick(rng, _EOLS) for part in parts)
+    if parts and rng.random() < 0.3:
+        text = text.rstrip("\r\n")  # no final line end
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def _edge_lines(rng, n, header):
+    lines = []
+    for _ in range(int(rng.integers(0, 40))):
+        u, v = (_int_text(rng, int(x)) for x in rng.integers(0, n, size=2))
+        cells = [u, v] + ([_weight_text(rng)] if rng.random() < 0.3 else [])
+        lines.append(_pick(rng, _PADS) + _pick(rng, _GAPS).join(cells) + _pick(rng, _PADS))
+    if header:
+        header = _pick(rng, ("# n={}", "#n = {}", "  # n={}")).format(n)
+        lines.insert(int(rng.integers(len(lines) + 1)), header)
+    return lines
+
+
+def _feature_lines(rng):
+    width = int(rng.integers(1, 6))
+    return [
+        _pick(rng, _PADS)
+        + ",".join(_pick(rng, _PADS) + _real_text(rng) + _pick(rng, _PADS) for _ in range(width))
+        + _pick(rng, _PADS)
+        for _ in range(int(rng.integers(1, 30)))
+    ]
+
+
+def _int_lines(rng, low):
+    return [
+        _pick(rng, _PADS) + _int_text(rng, int(v)) + _pick(rng, _PADS)
+        for v in rng.integers(low, 12, size=int(rng.integers(1, 30)))
+    ]
+
+
+def _outcome(load, path):
+    try:
+        return "ok", load(path)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _same(a, b):
+    if a[0] != b[0] or a[0] == "error":
+        return a == b
+    x, y = a[1], b[1]
+    if isinstance(x, G.Graph):
+        x, y = ((g.n, g.offsets.tobytes(), g.targets.tobytes()) for g in (x, y))
+        return x == y
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+_FORMATS = {
+    "edges": (G.load_edge_list, load_edge_list_loop),
+    "features": (G.load_features, load_features_loop),
+    "labels": (G.load_labels, load_labels_loop),
+    "seeds": (cli._load_id_file, load_id_file_loop),
+}
+
+
+def _lines(rng, kind, header=None):
+    n = int(rng.integers(1, 30))
+    if kind == "edges":
+        return _edge_lines(rng, n, bool(rng.integers(2)) if header is None else header), n
+    if kind == "features":
+        return _feature_lines(rng), n
+    return _int_lines(rng, -5 if kind == "seeds" else 0), n
+
+
+def _inject(rng, kind, lines, n):
+    """Replace one data line by a line the oracle rejects."""
+    data = [i for i, line in enumerate(lines) if line.strip() and not line.strip().startswith("#")]
+    if not data:
+        return None
+    i = data[int(rng.integers(len(data)))]
+    if kind == "edges":
+        bad = ["1", "1 2 3 4", "1.5 2", "a 2", "1 0x3", "-1 2", "1 2 abc", "1 2 nan",
+               "1 2 inf", "1 2 -0.5", "1\t2\t1e999", f"0 {n + 3}"]
+        choice = _pick(rng, bad)
+        if choice == f"0 {n + 3}":
+            lines = [line for line in lines if not line.strip().startswith("#")]
+            lines.insert(0, f"# n={n}")
+            i = int(rng.integers(1, len(lines)))
+    elif kind == "features":
+        cells = lines[i].split(",")
+        choice = _pick(rng, (
+            ",".join(cells[:-1] + ["1.0", "2.0"]),
+            ",".join(cells + ["1"]) if len(cells) > 1 else "1,2,3,4,5,6",
+            "abc", "1.2.3", "1 2", ",".join(cells[:-1] + [""]), ",".join(["inf"] + cells[1:]),
+            ",".join(cells[:-1] + ["nan"]), ",".join(["1e999"] + cells[1:]),
+            ",".join(cells[:-1] + ["-"]),
+        ))
+    else:
+        choice = _pick(rng, ("1.5", "x", "1 2", "-3", "+", "0x1"))
+    lines = list(lines)
+    lines[i] = _pick(rng, _PADS) + choice
+    return lines
+
+
+class TestBulkReader:
+    @pytest.mark.parametrize("kind", sorted(_FORMATS))
+    def test_valid_files_match_oracle(self, tmp_path, kind):
+        new, old = _FORMATS[kind]
+        rng = np.random.default_rng([21, len(kind)])
+        path = str(tmp_path / "f")
+        for _ in range(150):
+            lines, _ = _lines(rng, kind)
+            _write(path, lines, rng)
+            want = _outcome(old, path)
+            assert want[0] == "ok", (want, open(path, "rb").read())
+            got = _outcome(new, path)
+            assert _same(got, want), (got, want, open(path, "rb").read())
+
+    @pytest.mark.parametrize("kind", sorted(_FORMATS))
+    def test_empty_file_matches_oracle(self, tmp_path, kind):
+        new, old = _FORMATS[kind]
+        path = tmp_path / "f"
+        for text in ("", "\n\n", "# only a comment\r\n", "   \t\r"):
+            path.write_text(text, newline="")
+            assert _same(_outcome(new, str(path)), _outcome(old, str(path)))
+
+    @pytest.mark.parametrize("kind", sorted(_FORMATS))
+    def test_one_error_matches_oracle(self, tmp_path, kind):
+        new, old = _FORMATS[kind]
+        rng = np.random.default_rng([22, len(kind)])
+        path = str(tmp_path / "f")
+        checked = 0
+        while checked < 150:
+            lines, n = _lines(rng, kind, header=False)
+            lines = _inject(rng, kind, lines, n)
+            if lines is None:
+                continue
+            _write(path, lines, rng)
+            want = _outcome(old, path)
+            if want[0] == "ok":  # e.g. "-3" in a seed file
+                continue
+            got = _outcome(new, path)
+            assert got == want, (open(path, "rb").read(),)
+            checked += 1
+
+    def test_nan_with_payload_rejected(self, tmp_path):
+        """np.fromstring reads ``nan(1)``; float() and the loaders do not."""
+        x, e = tmp_path / "x.csv", tmp_path / "g.edges"
+        x.write_text("1.0,2.0\n1.0,nan(1)\n")
+        e.write_text("0 1 nan(2)\n")
+        for path, kind in ((x, "features"), (e, "edges")):
+            new, old = _FORMATS[kind]
+            got, want = _outcome(new, str(path)), _outcome(old, str(path))
+            assert got == want and got[0] == "error", (got, want)
+
+    def test_number_grammar_matches_python(self, tmp_path):
+        """Every token of up to 4 bytes from a number alphabet: float()'s and int()'s verdict."""
+        for alphabet, ok_fn, kind in (
+            ("01.eE+-infatyNIx", float, "real"),
+            ("019+-.e_x", int, "int"),
+        ):
+            tokens = [
+                "".join(t) for k in range(1, 5) for t in itertools.product(alphabet, repeat=k)
+            ]
+            want = []
+            for token in tokens:
+                try:
+                    ok_fn(token)
+                    want.append("_" not in token)  # digit separators are not ASCII decimal
+                except ValueError:
+                    want.append(False)
+            path = tmp_path / f"{kind}.txt"
+            path.write_text("\n".join(tokens) + "\n")
+            s = textscan.scan(str(path))
+            every = np.arange(len(tokens))
+            if kind == "int":
+                got = textscan.int_tokens_ok(s, every)
+            else:
+                got = textscan.real_tokens_ok(s, every)
+                # the conversion call alone gives the same verdict where it decides
+                plain = ["x" not in t for t in tokens]
+                for token, ok, p in zip(tokens[::97], np.array(want)[::97], plain[::97]):
+                    if p:
+                        try:
+                            np.fromstring(token, dtype=np.float64, sep=" ")
+                            assert ok, token
+                        except ValueError:
+                            assert not ok, token
+            wrong = [t for t, a, b in zip(tokens, got, want) if a != b]
+            assert not wrong, wrong[:10]
+
+
+def _profiled_calls(fn, path):
+    """Function calls (Python and C) and Python lines run by ``fn(path)``.
+
+    ``sys.setprofile`` counts the calls; ``sys.settrace`` counts lines,
+    which also catches a comprehension whose body only builds objects.
+    """
+    calls = lines = 0
+
+    def count_call(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    def count_line(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count_line
+
+    previous = sys.gettrace()
+    sys.setprofile(count_call)
+    sys.settrace(count_line)
+    try:
+        fn(path)
+    finally:
+        sys.settrace(previous)
+        sys.setprofile(None)
+    return calls, lines
+
+
+def _bulk_file(path, kind, lines):
+    rng = np.random.default_rng(3)
+    if kind == "edges":
+        body = ["# n=1000"] + [f"{u} {v}" for u, v in rng.integers(0, 1000, size=(lines, 2))]
+    elif kind == "features":
+        body = [",".join("%.17g" % v for v in row) for row in rng.normal(size=(lines, 4))]
+    else:
+        body = [str(v) for v in rng.integers(0, 5, size=lines)]
+    path.write_text("\n".join(body) + "\n")
+    return str(path)
+
+
+class TestLoadersStayBulk:
+    """A loader's Python-level call count must not grow with the file."""
+
+    @pytest.mark.parametrize("kind", sorted(_FORMATS))
+    def test_call_count_independent_of_lines(self, tmp_path, kind):
+        new, old = _FORMATS[kind]
+        small = _bulk_file(tmp_path / "small", kind, 2_000)
+        large = _bulk_file(tmp_path / "large", kind, 20_000)
+        new(small)  # warm imports and caches
+        assert _profiled_calls(new, small) == _profiled_calls(new, large)
+        # the per-line oracle fails the same check
+        assert _profiled_calls(old, large)[0] > _profiled_calls(old, small)[0] + 10_000
 
 class TestSubgraph:
     def test_single_sampled_edge(self):
