@@ -522,27 +522,36 @@ def _bench_one_size(n: int, degree: float, workers_list, seed: int) -> dict:
         row["t_sample_batch_s"] = 0.0
         row["sample_seeds_per_s"] = 0.0
 
-    speedup = {}
-    if n > 0 and workers_list:
-        base_table = None
-        for w in workers_list:
-            t0 = time.perf_counter()
-            rt_w = ranking.rank_by_similarity(g, x, workers=w)
-            dt = time.perf_counter() - t0
-            identical = base_table is None or (
-                np.array_equal(rt_w.ranked_ids, base_table.ranked_ids)
-                and np.array_equal(rt_w.probs, base_table.probs)
-            )
-            if base_table is None:
-                base_table = rt_w
-                base_dt = dt
-            speedup[str(w)] = {
-                "t_s": dt,
-                "speedup": base_dt / dt if dt > 0 else 0.0,
-                "identical": identical,
-            }
-    row["similar_workers"] = speedup
+    for key, rank in (
+        ("similar_workers", ranking.rank_by_similarity),
+        ("diverse_workers", ranking.rank_by_diversity),
+    ):
+        row[key] = _worker_sweep(rank, g, x, workers_list if n > 0 else [])
     return row
+
+
+def _worker_sweep(rank, g, x, workers_list) -> dict:
+    """Wall time of ``rank`` at each worker count, and whether its table
+    matches the first count's."""
+    sweep: dict = {}
+    base_table = None
+    for w in workers_list:
+        t0 = time.perf_counter()
+        rt_w = rank(g, x, workers=w)
+        dt = time.perf_counter() - t0
+        identical = base_table is None or (
+            np.array_equal(rt_w.ranked_ids, base_table.ranked_ids)
+            and np.array_equal(rt_w.probs, base_table.probs)
+        )
+        if base_table is None:
+            base_table = rt_w
+            base_dt = dt
+        sweep[str(w)] = {
+            "t_s": dt,
+            "speedup": base_dt / dt if dt > 0 else 0.0,
+            "identical": identical,
+        }
+    return sweep
 
 
 def cmd_bench(ns, ctx) -> dict:

@@ -6,12 +6,13 @@ by greedy submodular marginal gain over the egonet. Probabilities are
 then assigned from the rank alone (never from raw scores, which can be
 arbitrarily skewed), so both modes share the same PMF machinery.
 
-Ranking is local to each vertex, but rows are built per degree group:
-all rows with the same candidate count are scored, or greedily ordered,
-in a few numpy calls over stacked arrays. Diversity rows run exact
-greedy across their group; its lowest-index tie-break is naive greedy's,
-so a row's bytes do not depend on its group, its block or the number of
-workers building the table.
+Ranking is local to each vertex, but rows are built in batches of
+stacked arrays. Similarity rows are scored per degree group: all rows of
+one degree in a few numpy calls. Diversity rows run exact greedy in
+lockstep batches: rows sorted by candidate count, padded to the widest
+row of their batch, one step loop per batch. Its lowest-index tie-break
+is naive greedy's, so a row's bytes do not depend on its batch or the
+number of workers building the table.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ SUBMODULAR_KINDS = (
 )
 _KERNEL_KINDS = ("facility_location", "graph_cut")
 
-# Element budget of one block of a group's stacked arrays: it bounds the
-# memory that batching adds.
+# Element budget of one block of stacked, possibly padded, arrays: it
+# bounds the memory that batching adds.
 BLOCK_ELEMENTS = 1 << 18
 
 
@@ -99,6 +100,12 @@ def pmf_from_ranks(d: int, spec: PmfSpec) -> np.ndarray:
     return w / w.sum()
 
 
+def _check_lam(lam: float) -> None:
+    # a NaN gain would make every argmax pick the first candidate
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam!r}")
+
+
 @dataclass
 class SubmodularFn:
     """A set-function family over a fixed candidate universe.
@@ -116,6 +123,7 @@ class SubmodularFn:
     def __post_init__(self) -> None:
         if self.kind not in SUBMODULAR_KINDS:
             raise ValueError(f"unknown submodular kind: {self.kind!r}")
+        _check_lam(self.lam)
         if self.kind in _KERNEL_KINDS:
             k = self.kernel
             if k is None or k.ndim != 2 or k.shape[0] != k.shape[1]:
@@ -137,18 +145,63 @@ class SubmodularFn:
 
 
 # Gain states. Each holds one instance, or a stack of B instances along
-# a leading axis: kernels (..., c, c) or feature rows (..., c, f).
+# a leading axis: kernels (..., w, w) or feature rows (..., w, f).
 # Candidates are addressed by flat index into the (instance, candidate)
 # pairs in row-major order, which for one instance is the candidate id.
 # ``gains(idx)`` is the marginal gain of the candidates idx: a slice for
 # one instance, or a (B, r) array, r candidates in each instance of a
 # stack. ``add(v)`` adds candidate v, an int or one per instance.
+#
+# A stack may pad its instances to a common width w, unless its kind
+# cannot mix counts: instance i's real candidates are its first
+# counts[i], and each pad's gain is -inf, so no pad wins, whatever the
+# sign of the real gains. ``keep(n)`` drops every instance after the
+# first n.
 
 
-class _FacilityState:
+def _has_pads(shape, counts) -> bool:
+    return counts is not None and counts.min() < shape[-2]
+
+
+def _pad_floor(shape, counts) -> np.ndarray | None:
+    """0 on each instance's real candidates and -inf on its pads, or None."""
+    if not _has_pads(shape, counts):
+        return None
+    return np.where(np.arange(shape[-2]) < counts[:, None], 0.0, -np.inf)
+
+
+def _runs(counts: np.ndarray) -> list[tuple[int, int]]:
+    """(lo, hi) of each run of equal values in ``counts``."""
+    edges = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), counts.size]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+class _GainState:
+    # False when a gain sums over the candidate axis. Zero pads would
+    # regroup numpy's pairwise sum and change the bits, so a stack of
+    # that kind holds one candidate count and no pads.
+    mixes_counts = True
+    _per_instance: tuple[str, ...] = ()  # the arrays keep() cuts
+    floor: np.ndarray | None = None  # see _pad_floor
+
+    def keep(self, n: int) -> None:
+        for name in self._per_instance:
+            a = getattr(self, name)
+            if a is not None:
+                setattr(self, name, a[:n])
+
+    def _floored(self, gains: np.ndarray, idx) -> np.ndarray:
+        return gains if self.floor is None else gains + self.floor.ravel()[idx]
+
+
+class _FacilityState(_GainState):
     # best[y] = max over chosen x of kernel[x, y]; empty set scores 0,
     # which makes the first gain a plain row sum on nonneg kernels
-    def __init__(self, kernel: np.ndarray, lam: float) -> None:
+    mixes_counts = False
+    _per_instance = ("best",)
+
+    def __init__(self, kernel: np.ndarray, lam: float, counts=None) -> None:
+        # counts goes unread: a stack of this kind holds no pads
         self.k = kernel.reshape(-1, kernel.shape[-1])
         self.best = np.zeros(kernel.shape[:-1])
 
@@ -160,46 +213,63 @@ class _FacilityState:
         np.maximum(self.best, self.k[v], out=self.best)
 
 
-class _CoverageState:
-    def __init__(self, features: np.ndarray, lam: float) -> None:
+class _CoverageState(_GainState):
+    _per_instance = ("cov", "floor")
+
+    def __init__(self, features: np.ndarray, lam: float, counts=None) -> None:
         self.f = features.reshape(-1, features.shape[-1])
         self.cov = np.zeros(features.shape[:-2] + features.shape[-1:])
+        self.floor = _pad_floor(features.shape, counts)
 
     def gains(self, idx) -> np.ndarray:
         before = np.minimum(self.cov, 1.0)[..., None, :]
         after = np.minimum(self.cov[..., None, :] + self.f[idx], 1.0)
-        return (after - before).sum(axis=-1)
+        return self._floored((after - before).sum(axis=-1), idx)
 
     def add(self, v) -> None:
         self.cov += self.f[v]
 
 
-class _FeatureSqrtState:
-    def __init__(self, features: np.ndarray, lam: float) -> None:
+class _FeatureSqrtState(_GainState):
+    _per_instance = ("sums", "floor")
+
+    def __init__(self, features: np.ndarray, lam: float, counts=None) -> None:
         self.f = features.reshape(-1, features.shape[-1])
         self.sums = np.zeros(features.shape[:-2] + features.shape[-1:])
+        self.floor = _pad_floor(features.shape, counts)
 
     def gains(self, idx) -> np.ndarray:
         now = np.sqrt(self.sums)[..., None, :]
-        return (np.sqrt(self.sums[..., None, :] + self.f[idx]) - now).sum(axis=-1)
+        gains = (np.sqrt(self.sums[..., None, :] + self.f[idx]) - now).sum(axis=-1)
+        return self._floored(gains, idx)
 
     def add(self, v) -> None:
         self.sums += self.f[v]
 
 
-class _GraphCutState:
+class _GraphCutState(_GainState):
     # f(X) = lam * sum_{v in V} sum_{x in X} K[x,v] - sum_{x,y in X} K[x,y]
     # with the penalty over ordered pairs including the diagonal
-    def __init__(self, kernel: np.ndarray, lam: float) -> None:
+    _per_instance = ("lam_rows", "diag", "cross")
+
+    def __init__(self, kernel: np.ndarray, lam: float, counts=None) -> None:
         self.k = kernel.reshape(-1, kernel.shape[-1])
-        self.lam_rows = lam * kernel.sum(axis=-1).ravel()
-        self.diag = np.diagonal(kernel, axis1=-2, axis2=-1).ravel()
+        self.diag = np.diagonal(kernel, axis1=-2, axis2=-1).copy()
         self.cross = np.zeros(kernel.shape[:-1])  # sum_{x in S} K[x, u]
+        if not _has_pads(kernel.shape, counts):
+            self.lam_rows = lam * kernel.sum(axis=-1)
+            return
+        # each run of one count sums its real columns only: a zero pad
+        # would regroup numpy's pairwise sum. Pads keep -inf, their gain.
+        self.lam_rows = np.full(kernel.shape[:-1], -np.inf)
+        for lo, hi in _runs(counts):
+            c = counts[lo]
+            self.lam_rows[lo:hi, :c] = lam * kernel[lo:hi, :c, :c].sum(axis=-1)
 
     def gains(self, idx) -> np.ndarray:
         # O(1) per candidate, so taking every gain and indexing the
         # result costs less than indexing three arrays
-        return (self.lam_rows - 2.0 * self.cross.ravel() - self.diag)[idx]
+        return (self.lam_rows - 2.0 * self.cross - self.diag).ravel()[idx]
 
     def add(self, v) -> None:
         self.cross += self.k[v]
@@ -275,11 +345,27 @@ def _check_node_features(g: Graph, x) -> np.ndarray:
     return x
 
 
-def _blocks(rows: np.ndarray, per_row: int):
-    """Consecutive slices of ``rows`` holding at most BLOCK_ELEMENTS each."""
-    step = max(1, BLOCK_ELEMENTS // max(1, per_row))
-    for i in range(0, rows.size, step):
-        yield rows[i : i + step]
+def _by_count(counts: np.ndarray) -> np.ndarray:
+    """Rows with a nonzero count, by count descending, then id."""
+    rows = np.flatnonzero(counts)
+    return rows[np.argsort(-counts[rows], kind="stable")]
+
+
+def _batches(counts: np.ndarray, cost: np.ndarray, mixes_counts: bool):
+    """Slices of ``counts`` (descending) to stack and process together.
+
+    ``cost`` is each row's element count at its own width. A batch pads
+    its rows to its first, widest row and holds at most BLOCK_ELEMENTS of
+    that row's cost, at least one row. Without ``mixes_counts`` a batch
+    holds one count and no pads.
+    """
+    i = 0
+    while i < counts.size:
+        j = i + max(1, BLOCK_ELEMENTS // max(1, int(cost[i])))
+        if not mixes_counts:
+            j = min(j, int(np.searchsorted(-counts, -counts[i], side="right")))
+        yield slice(i, j)
+        i = j
 
 
 def _rank_similar(
@@ -290,16 +376,17 @@ def _rank_similar(
     lo: int,
     hi: int,
 ) -> np.ndarray:
-    """Ranked ids of rows lo..hi-1, scored one degree group at a time."""
+    """Ranked ids of rows lo..hi-1, scored in batches of one degree."""
     offsets = g.offsets[lo : hi + 1]
     base = int(offsets[0])
     targets = g.targets[base : offsets[-1]]
     deg = np.diff(offsets)
     score = np.zeros(targets.size)
-    for d in np.unique(deg[deg > 0]):
-        for blk in _blocks(np.flatnonzero(deg == d), d * x.shape[1]):
-            idx = (offsets[blk] - base)[:, None] + np.arange(d)
-            score[idx] = similarity_row(x[targets[idx]], x[lo + blk], sim, model)
+    rows = _by_count(deg)
+    for batch in _batches(deg[rows], deg[rows] * x.shape[1], mixes_counts=False):
+        blk = rows[batch]
+        idx = (offsets[blk] - base)[:, None] + np.arange(deg[blk[0]])
+        score[idx] = similarity_row(x[targets[idx]], x[lo + blk], sim, model)
     row = np.repeat(np.arange(deg.size), deg)
     # within a row: descending score, then ascending node id
     return targets[np.lexsort((targets, -score, row))]
@@ -316,32 +403,64 @@ def _kernel_or_features(xs, sim, fn_kind, model) -> np.ndarray:
     return xs
 
 
-def _exact_greedy(fn_kind: str, data: np.ndarray, lam: float) -> np.ndarray:
-    """Greedy order over each of B stacked egonets, all at once.
+def _exact_greedy(
+    fn_kind: str, data: np.ndarray, lam: float, counts: np.ndarray | None = None
+) -> np.ndarray:
+    """Greedy order over each of B stacked egonets, in lockstep.
 
-    ``data`` is (B, c, c) kernels or (B, c, f) feature rows with the ego
-    last; the ego is the initial set. Each of the c - 1 steps takes the
-    fresh gain of every candidate not yet taken, so this is naive greedy.
-    ``left`` keeps the candidates not taken in ascending order, so
-    ``argmax`` picks the lowest node id among equal gains. Returns
-    (B, c - 1) local indices in pick order.
+    ``data`` is (B, w, w) kernels or (B, w, f) feature rows. Instance i
+    has ``counts[i]`` real candidates (default w; descending), the ego
+    last among them, then pads up to w; the ego is the initial set. Each
+    step takes the fresh gain of every candidate not yet taken, so this
+    is naive greedy. Instance i takes counts[i] - 1 steps, so step s runs
+    on the prefix of instances with counts - 1 > s. ``left`` keeps the
+    candidates not taken in ascending order, pads after the real ones,
+    so ``argmax`` picks the lowest node id among equal gains. Returns
+    (B, w - 1) local indices in pick order; row i's first counts[i] - 1
+    are its order and the rest are 0.
     """
-    b, c = data.shape[:2]
+    b, w = data.shape[:2]
+    if counts is None:
+        counts = np.full(b, w)
+    first = np.arange(b) * w  # flat index of each instance's candidate 0
+    state = _STATES[fn_kind](data, lam, counts)
+    state.add(first + counts - 1)
+    pos = np.arange(w - 1)
+    left = first[:, None] + pos + (pos >= counts[:, None] - 1)  # all but the ego
     rows = np.arange(b)
-    first = rows * c  # flat index of each instance's candidate 0
-    state = _STATES[fn_kind](data, lam)
-    state.add(first + c - 1)
-    pos = np.arange(c - 1)
-    left = first[:, None] + pos
-    order = np.empty((b, c - 1), dtype=np.int64)
-    for step in range(c - 1):
+    order = np.repeat(first[:, None], w - 1, axis=1)
+    # n: the live instances, those with counts - 1 > step, a prefix
+    for step, n in enumerate(np.searchsorted(-counts, -np.arange(1, w)).tolist()):
+        if n < rows.size:
+            left, rows = left[:n], rows[:n]
+            state.keep(n)
         pick = state.gains(left).argmax(axis=1)
-        order[:, step] = v = left[rows, pick]
+        order[:n, step] = v = left[rows, pick]
         state.add(v)
         # drop each instance's pick, keeping the rest in order
-        shift = pos[: c - 2 - step] >= pick[:, None]
+        shift = pos[: w - 2 - step] >= pick[:, None]
         left = np.where(shift, left[:, 1:], left[:, :-1])
     return order - first[:, None]
+
+
+def _batch_data(x, cand, counts, sim, fn_kind, model) -> np.ndarray:
+    """A batch's (B, w, w) kernels or (B, w, f) feature rows.
+
+    Kernels are built per run of one count, on each set's real
+    candidates: neg_euclidean's max-shift and the BLAS bits depend on
+    the set. Pads stay zero.
+    """
+    if fn_kind not in _KERNEL_KINDS:
+        return x[cand]
+    runs = _runs(counts)
+    if len(runs) == 1:
+        return pairwise_kernel(x[cand], sim, model)
+    w = counts[0]
+    data = np.zeros((cand.shape[0], w, w))
+    for lo, hi in runs:
+        c = counts[lo]
+        data[lo:hi, :c, :c] = pairwise_kernel(x[cand[lo:hi, :c]], sim, model)
+    return data
 
 
 def _rank_diverse(
@@ -354,11 +473,14 @@ def _rank_diverse(
     lo: int,
     hi: int,
 ) -> np.ndarray:
-    """Ranked ids of rows lo..hi-1, one candidate-count group at a time.
+    """Ranked ids of rows lo..hi-1, greedily ordered in lockstep batches.
 
     A row's candidates are its neighbors other than the ego, in id
     order, then the ego, which anchors the selection. A self-loop
     belongs to the initial set already, so it goes last with gain 0.
+    Rows with a candidate besides the ego go by candidate count,
+    descending, then id, into batches of at most BLOCK_ELEMENTS padded
+    elements. Each batch runs one greedy step loop.
     """
     offsets = g.offsets[lo : hi + 1]
     base = int(offsets[0])
@@ -372,20 +494,23 @@ def _rank_diverse(
     has_loop = deg > k
     out = np.empty_like(targets)
     out[offsets[1:][has_loop] - base - 1] = lo + np.flatnonzero(has_loop)
-    for kk in np.unique(k[k > 0]):
-        rows = np.flatnonzero(k == kk)
-        cand = np.empty((rows.size, kk + 1), dtype=np.int64)
-        cand[:, :kk] = others[first[rows][:, None] + np.arange(kk)]
-        cand[:, kk] = lo + rows
-        c = kk + 1
-        order = np.concatenate([
-            _exact_greedy(
-                fn_kind, _kernel_or_features(x[cand[blk]], sim, fn_kind, model), lam
-            )
-            for blk in _blocks(np.arange(rows.size), c * (c + x.shape[1]))
-        ])
-        pos = (offsets[rows] - base)[:, None] + np.arange(kk)
-        out[pos] = np.take_along_axis(cand, order, axis=1)
+    ranked = _by_count(k)
+    counts = k[ranked] + 1
+    # elements per row: (w, f) feature rows, and a (w, w) kernel if any
+    cost = counts * (x.shape[1] + counts * (fn_kind in _KERNEL_KINDS))
+    for batch in _batches(counts, cost, _STATES[fn_kind].mixes_counts):
+        rows, cb = ranked[batch], counts[batch]
+        w = cb[0]
+        # each row's other neighbors, then the ego, which also fills the pads
+        cand = np.repeat((lo + rows)[:, None], w, axis=1)
+        real = np.arange(w) < (cb - 1)[:, None]
+        cand[real] = others[(first[rows][:, None] + np.arange(w))[real]]
+        order = _exact_greedy(
+            fn_kind, _batch_data(x, cand, cb, sim, fn_kind, model), lam, cb
+        )
+        real = real[:, :-1]  # row i's first c - 1 picks
+        pos = (offsets[rows] - base)[:, None] + np.arange(w - 1)
+        out[pos[real]] = np.take_along_axis(cand, order, axis=1)[real]
     return out
 
 
@@ -464,6 +589,7 @@ def rank_by_diversity(
     if sim == "learned" and model is None:
         raise ValueError("learned similarity requires a model")
     _check_nonnegative(fn_kind, x)
+    _check_lam(lam)
     spec = pmf or PmfSpec()
     ranked = _build_rows(
         _rank_diverse, g, (x, sim, fn_kind, model, lam), workers

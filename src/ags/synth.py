@@ -21,6 +21,7 @@ from .graph import Graph, from_edges
 from .ranking import (
     _STATES,
     SUBMODULAR_KINDS,
+    _check_lam,
     _check_nonnegative,
     _kernel_or_features,
 )
@@ -270,6 +271,7 @@ def verify_lemmas(
     if fn not in SUBMODULAR_KINDS:
         raise ValueError(f"unknown submodular kind: {fn!r}")
     _check_nonnegative(fn, x)
+    _check_lam(lam)
 
     ids, degs, counts = [], [], []
     s_same, s_tot, g_same, g_tot = [], [], [], []

@@ -102,6 +102,17 @@ class TestDispatch:
         assert f"{flag.strip('-')} length {rows} does not match graph nodes (4)" in err
         assert str(tmp_path / flag.strip("-")) in err and str(tmp_path / "graph") in err
 
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["rank", "verify-lemmas"])
+    def test_non_finite_lam_exits_1(self, workdir, tmp_path, capsys, command, lam):
+        args = [command, *graph_flags(workdir), *data_flags(workdir),
+                "--fn", "graphcut", f"--lam={lam}", "--out", str(tmp_path / "out")]
+        if command == "rank":
+            args += ["--mode", "diverse", "--workers", "1"]
+        assert cli.main(args) == 1
+        assert not (tmp_path / "out").exists()
+        assert "lam must be finite" in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self, workdir):
         assert cli.main(["analyze", *graph_flags(workdir),
                          "--labels", p(workdir, "y.txt"), "--bogus"]) == 2
@@ -469,10 +480,12 @@ class TestBench:
         assert cli.main(["bench", "--sizes", "400", "--degree", "8",
                          "--seed", "2", "--workers-list", "1,2,4",
                          "--out", out]) == 0
-        sweep = json.loads(open(out).read())["sizes"][-1]["similar_workers"]
-        assert set(sweep) == {"1", "2", "4"}
-        assert all(entry["identical"] for entry in sweep.values())
-        assert all(entry["t_s"] >= 0.0 for entry in sweep.values())
+        row = json.loads(open(out).read())["sizes"][-1]
+        for mode in ("similar", "diverse"):
+            sweep = row[f"{mode}_workers"]
+            assert set(sweep) == {"1", "2", "4"}
+            assert all(entry["identical"] for entry in sweep.values())
+            assert all(entry["t_s"] >= 0.0 for entry in sweep.values())
 
     def test_similarity_ranking_scales_linearly_in_m(self, workdir):
         out = p(workdir, "benchm.json")

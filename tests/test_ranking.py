@@ -435,6 +435,16 @@ class TestRankByDiversity:
             rt = R.rank_by_diversity(g, x, fn_kind=kind)
             rt.validate(g)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lam_rejected(self, lam):
+        # a NaN gain used to rank every row in plain id order
+        g = star_graph(4)
+        x = np.random.default_rng(11).normal(size=(5, 2))
+        with pytest.raises(ValueError, match="lam must be finite"):
+            R.rank_by_diversity(g, x, fn_kind="graph_cut", lam=lam)
+        with pytest.raises(ValueError, match="lam must be finite"):
+            R.SubmodularFn(kind="graph_cut", kernel=np.eye(2), lam=lam)
+
     def test_negative_features_rejected_for_coverage(self):
         g = star_graph(2)
         x = -np.ones((3, 2))
@@ -601,6 +611,95 @@ class TestDegreeGroups:
         two = rank(g, x, workers=2)
         assert one.ranked_ids.tobytes() == two.ranked_ids.tobytes()
         assert one.probs.tobytes() == two.probs.tobytes()
+
+
+def staircase_graph_and_features(seed):
+    """A directed graph with one row for each candidate count 2..150.
+
+    The 149 staircase rows sit at random ids, so both chunks of a
+    two-worker build hold some, and every fifth one also has a
+    self-loop. Rows of degree 0 and 1 and a row holding only a
+    self-loop ride along. Some feature rows are small integers, which
+    tie gains, and some are all zero, which tie coverage gains at 0.
+    """
+    rng = np.random.default_rng(seed)
+    n = 400
+    egos = rng.permutation(n)
+    src, dst = [], []
+    for i, u in enumerate(egos[:149]):
+        others = rng.choice(n - 1, size=i + 1, replace=False)
+        others[others >= u] += 1
+        src += [u] * (i + 1 + (i % 5 == 0))
+        dst += [*others.tolist(), *[u] * (i % 5 == 0)]
+    src += [*egos[149:159], egos[159]]
+    dst += [*egos[160:170], egos[159]]
+    g = G.from_edges(n, src, dst, directed=True)
+    x = rng.uniform(0.0, 1.5, size=(n, 4))
+    rounded = rng.choice(n, size=80, replace=False)
+    x[rounded] = np.round(x[rounded])
+    x[rounded[:40]] = 0.0
+    degrees = g.degrees()
+    assert (degrees == 0).any() and (degrees == 1).any()
+    assert np.unique(candidate_counts(g)).tolist() == list(range(2, 151))
+    return g, x
+
+
+def candidate_counts(g):
+    """Each row's candidate count: its neighbors other than itself, plus itself."""
+    row = np.repeat(np.arange(g.n), g.degrees())
+    k = np.bincount(row[g.targets != row], minlength=g.n)
+    return k[k > 0] + 1
+
+
+_NAIVE_STAIRCASE = {}
+
+
+def naive_staircase_rows(fn_kind, lam):
+    key = (fn_kind, lam if fn_kind == "graph_cut" else None)
+    if key not in _NAIVE_STAIRCASE:
+        g, x = staircase_graph_and_features(28)
+        _NAIVE_STAIRCASE[key] = diverse_rows_loop(
+            g, x, "neg_euclidean", fn_kind, lam=lam, greedy=naive_state_greedy
+        ).tobytes()
+    return _NAIVE_STAIRCASE[key]
+
+
+class TestLockstepBatches:
+    """Rows of different candidate counts share one padded step loop."""
+
+    @pytest.mark.parametrize("fn_kind", R.SUBMODULAR_KINDS)
+    @pytest.mark.parametrize("lam", [0.25, -1.0])
+    @pytest.mark.parametrize("block", [R.BLOCK_ELEMENTS, 40, 2000])
+    def test_padded_batches_match_naive_greedy(self, monkeypatch, fn_kind, lam, block):
+        # lam = -1 makes every graph-cut gain negative, so a pad that
+        # scored 0 instead of -inf would be picked first
+        monkeypatch.setattr(R, "BLOCK_ELEMENTS", block)
+        g, x = staircase_graph_and_features(28)
+        expect = naive_staircase_rows(fn_kind, lam)
+        for workers in (1, 2):
+            rt = R.rank_by_diversity(
+                g, x, sim="neg_euclidean", fn_kind=fn_kind, lam=lam, workers=workers
+            )
+            assert rt.ranked_ids.tobytes() == expect
+
+    @pytest.mark.parametrize("fn_kind", R.SUBMODULAR_KINDS)
+    def test_step_count(self, monkeypatch, fn_kind):
+        """Greedy steps (calls to the state's add) against one loop per count.
+
+        At the default budget each count's rows fit one block, so a loop
+        per count takes c adds for count c: the ego, then c - 1 picks.
+        """
+        g, x = staircase_graph_and_features(28)
+        state = R._STATES[fn_kind]
+        calls = []
+        real_add = state.add
+        monkeypatch.setattr(state, "add", lambda self, v: calls.append(1) or real_add(self, v))
+        R.rank_by_diversity(g, x, sim="neg_euclidean", fn_kind=fn_kind)
+        per_count = int(np.unique(candidate_counts(g)).sum())
+        if state.mixes_counts:
+            assert len(calls) < per_count / 4
+        else:
+            assert len(calls) == per_count
 
 
 # sha256 of the saved AGSR file of each table ranked on

@@ -242,6 +242,14 @@ class TestVerifyLemmas:
         with pytest.raises(ValueError, match="submodular kind"):
             SY.verify_lemmas(g, x, y, fn="nope")
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lam_rejected(self, lam):
+        import ags.graph as G
+
+        g = G.from_edges(2, [0], [1], directed=False)
+        with pytest.raises(ValueError, match="lam must be finite"):
+            SY.verify_lemmas(g, np.ones((2, 2)), np.array([0, 1]), fn="graph_cut", lam=lam)
+
     def test_shape_mismatch(self):
         import ags.graph as G
 
