@@ -315,9 +315,10 @@ def train_similarity(
     model = new_siamese(x.shape[1], cfg.h1, cfg.h2, rng)
     state = nn.AdamState.for_params(model.parameters(), lr=cfg.lr)
 
-    in_train = np.zeros(g.n, dtype=bool)
-    in_train[train_nodes] = True
     half = max(1, cfg.batch_pairs // 2)
+    # CSR rows are sorted by target, so these keys are sorted graph-wide
+    pairs = g.edge_array()
+    edge_keys = pairs[:, 0] * g.n + pairs[:, 1]
 
     def draw_edge_pairs() -> tuple[np.ndarray, np.ndarray]:
         if edges.shape[0] > 0:
@@ -347,11 +348,10 @@ def train_similarity(
             cu = rng.choice(train_nodes, size=m)
             cv = rng.choice(train_nodes, size=m)
             ok = cu != cv
-            ok &= ~np.fromiter(
-                (g.has_edge(int(a), int(b)) for a, b in zip(cu, cv)),
-                dtype=bool,
-                count=m,
-            )
+            if edge_keys.size:
+                keys = cu * g.n + cv
+                at = np.minimum(np.searchsorted(edge_keys, keys), edge_keys.size - 1)
+                ok &= edge_keys[at] != keys
             k = int(ok.sum())
             us[filled : filled + k] = cu[ok]
             vs[filled : filled + k] = cv[ok]

@@ -585,3 +585,12 @@ def load_id_file_loop(path: str) -> np.ndarray:
             except ValueError:
                 raise ValueError(f"seed file line {lineno}: not an integer")
     return np.asarray(ids, dtype=np.int64)
+
+
+def edge_list_text_loop(g) -> str:
+    """``ags synth``'s edge list text, one f-string per edge."""
+    edges = g.edge_array()
+    keep = edges[:, 0] <= edges[:, 1]
+    lines = [f"# n={g.n}"]
+    lines += [f"{u} {v}" for u, v in edges[keep].tolist()]
+    return "\n".join(lines) + "\n"

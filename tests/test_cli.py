@@ -6,6 +6,8 @@ the backbone: every deterministic command is executed twice and the
 output files compared raw.
 """
 
+import contextlib
+import io
 import json
 import os
 
@@ -15,6 +17,7 @@ import pytest
 from ags import cli
 from ags.graph import load_edge_list, load_rank_table
 from ags.similarity import new_siamese, save_similarity_model
+from oracles import edge_list_text_loop
 
 C = 4
 N = 240
@@ -158,7 +161,7 @@ class TestManifests:
                          "--seeds", p(workdir, "seeds.txt"),
                          "--fanouts", "3,2", "--seed", "11", "--out", out]) == 0
         manifest = json.loads(open(out + ".manifest.json").read())
-        assert manifest["config"]["fanouts"] == "3,2"
+        assert manifest["config"]["fanouts"] == [3, 2]
         assert manifest["seed"] == 11
 
 
@@ -299,6 +302,197 @@ class TestSeedPrecedence:
         manifest = json.loads((tmp_path / "parts.json.manifest.json").read_text())
         assert manifest["config"]["residual-frac"] == 0.1
         assert manifest["config"]["K"] == 1
+
+
+# Non-default values for every value-taking flag of five commands.
+# "{w}" is the module's work directory and "{o}" the run's output path.
+# A command may need several cases to give every flag a value that counts.
+CONFIG_CASES = {
+    "sample-node": (["sample", "node"], {
+        "graph": "{w}/g.edges", "table": "{w}/sim.agsr", "table2": "{w}/div.agsr",
+        "seeds": "{w}/seeds.txt", "fanouts": "3,2", "seed": "5", "workers": "1",
+        "out": "{o}",
+    }),
+    "sample-walk-seeds": (["sample", "walk"], {
+        "graph": "{w}/g.edges", "table": "{w}/div.agsr", "seeds": "{w}/seeds.txt",
+        "steps": "3", "seed": "5", "workers": "1", "out": "{o}",
+    }),
+    "sample-walk-batch": (["sample", "walk"], {
+        "graph": "{w}/g.edges", "table": "{w}/sim.agsr", "batch": "6", "steps": "4",
+        "seed": "6", "out": "{o}",
+    }),
+    "sample-disjoint": (["sample", "disjoint"], {
+        "graph": "{w}/g.edges", "table": "{w}/sim.agsr", "K": "3", "k": "2",
+        "residual-frac": "0.2", "seed": "5", "workers": "1", "out": "{o}",
+    }),
+    "rank-learned": (["rank"], {
+        "graph": "{w}/g.edges", "features": "{w}/x.txt", "labels": "{w}/y.txt",
+        "mode": "similar", "sim": "learned", "sim-epochs": "2", "pmf": "exp",
+        "rate": "0.3", "k1": "0.3", "seed": "5", "workers": "1", "out": "{o}",
+    }),
+    "rank-diverse": (["rank"], {
+        "graph": "{w}/g.edges", "features": "{w}/x.txt", "mode": "diverse",
+        "sim": "euclidean", "fn": "graphcut", "lam": "1.5", "pmf": "step",
+        "lambdas": "5,3,1", "k1": "0.3", "k2": "0.3", "workers": "1", "out": "{o}",
+    }),
+    "train-demo": (["train-demo"], {
+        "graph": "{w}/g.edges", "features": "{w}/x.txt", "labels": "{w}/y.txt",
+        "table-sim": "{w}/sim.agsr", "table-div": "{w}/div.agsr", "channels": "2",
+        "combiner": "skip", "epochs": "1", "hidden": "8", "lr": "0.01",
+        "batch-size": "64", "fanouts": "3,2", "mc-samples": "2", "seed": "5",
+        "workers": "1", "out": "{o}",
+    }),
+}
+
+
+def value_flags(words):
+    """The subcommand's flags that take a value, ``--config`` aside."""
+    flags = cli.command_flags(cli.build_parser(), words)
+    return {k for k, a in flags.items() if a.nargs != 0 and k != "config"}
+
+
+class TestConfigMeansFlag:
+    """A value in a --config file gives the run the same bytes as the flag."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, workdir):
+        """Runs by (case, key put in the file), made once each."""
+        cache = {}
+
+        def run(case, in_file):
+            if (case, in_file) not in cache:
+                words, values = CONFIG_CASES[case]
+                out = workdir / f"cfg-{case}.out"
+                values = {k: v.format(w=workdir, o=out) for k, v in values.items()}
+                args = list(words)
+                for key, value in values.items():
+                    if key != in_file:
+                        args += [f"--{key}", value]
+                if in_file:
+                    cfg = workdir / f"cfg-{case}.cfg"
+                    cfg.write_text(f"{in_file}={values[in_file]}\n")
+                    args += ["--config", str(cfg)]
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    assert cli.main(args) == 0, args
+                manifest = json.loads((workdir / f"cfg-{case}.out.manifest.json").read_text())
+                manifest["config"].pop("config")
+                cache[case, in_file] = (out.read_bytes(), stdout.getvalue(), manifest["config"])
+            return cache[case, in_file]
+
+        return run
+
+    @pytest.mark.parametrize("case, key", [
+        (case, key) for case, (_, values) in CONFIG_CASES.items() for key in values
+    ])
+    def test_file_value_gives_flag_bytes(self, runs, case, key):
+        assert runs(case, key) == runs(case, None)
+
+    @pytest.mark.parametrize("words", sorted({tuple(w) for w, _ in CONFIG_CASES.values()}))
+    def test_cases_cover_every_value_flag(self, words):
+        given = set().union(*(v for w, v in CONFIG_CASES.values() if tuple(w) == words))
+        assert given == value_flags(words)
+
+    @pytest.mark.parametrize("line, flag", [("replace=true", ["--replace"]),
+                                            ("replace=TRUE", ["--replace"]),
+                                            ("replace=false", [])])
+    def test_replace_takes_true_or_false(self, workdir, tmp_path, line, flag):
+        base = ["sample", "node", *graph_flags(workdir), "--table", p(workdir, "sim.agsr"),
+                "--seeds", p(workdir, "seeds.txt"), "--fanouts", "2,2", "--seed", "4"]
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text(line + "\n")
+        assert cli.main([*base, "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert cli.main([*base, *flag, "--out", str(tmp_path / "b")]) == 0
+        a = json.loads((tmp_path / "a").read_text())
+        assert a == json.loads((tmp_path / "b").read_text())
+        assert a["replace"] is bool(flag)
+
+
+# Config file lines that must be refused, with the command given each.
+REJECTED = [
+    ("sample-node", "replace=yes"),
+    ("sample-node", "command=rank"),
+    ("sample-node", "sample_kind=walk"),
+    ("sample-node", "fanout=3,2"),
+    ("sample-node", "help=true"),
+    ("sample-disjoint", "K=2.5"),
+    ("rank", "sim=banana"),
+    ("rank", "workers=0"),
+    ("rank", "config=other.cfg"),
+]
+
+
+def words_of(command):
+    return ["sample", command[7:]] if command.startswith("sample-") else [command]
+
+
+def parse_ready(workdir, command):
+    """Flags with which each command parses and runs."""
+    graph, table = ["--graph", p(workdir, "g.edges")], ["--table", p(workdir, "sim.agsr")]
+    data = ["--features", p(workdir, "x.txt"), "--labels", p(workdir, "y.txt")]
+    seeds = ["--seeds", p(workdir, "seeds.txt")]
+    return {
+        "analyze": [*graph, "--labels", p(workdir, "y.txt")],
+        "rank": [*graph, "--features", p(workdir, "x.txt"), "--mode", "similar"],
+        "sample-node": [*graph, *table, *seeds],
+        "sample-walk": [*graph, *table, *seeds],
+        "sample-disjoint": [*graph, *table],
+        "synth": data,
+        "verify-lemmas": [*graph, *data],
+        "train-demo": [*graph, *data, "--table-sim", p(workdir, "sim.agsr"),
+                       "--channels", "1", "--epochs", "1"],
+        "bench": ["--sizes", "0"],
+    }[command]
+
+
+class TestConfigRejections:
+    @pytest.mark.parametrize("command, line", REJECTED)
+    def test_rejected_entry_exits_1(self, workdir, tmp_path, capsys, command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        code = cli.main([*words_of(command), *parse_ready(workdir, command),
+                         "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+        key = line.split("=")[0]
+        assert key in json.loads((tmp_path / "out.manifest.json").read_text())["error"]
+
+    @pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+    def test_zero_workers_flag_exits_2(self, workdir, tmp_path, capsys, command):
+        args = [*words_of(command), *parse_ready(workdir, command), "--out", str(tmp_path / "o")]
+        assert cli.main([*args, "--workers", "0"]) == 2
+        assert "argument --workers: expected a positive integer" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        assert cli.main([*args, "--workers", "1"]) == 0
+
+    def test_required_flag_may_come_from_the_file(self, workdir, tmp_path):
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("K=2\n")
+        args = ["sample", "disjoint", "--table", p(workdir, "sim.agsr"),
+                "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert cli.main(args) == 1  # --graph is in neither
+        cfg.write_text(f"graph={p(workdir, 'g.edges')}\n")
+        assert cli.main(args) == 0
+
+    def test_non_integer_env_seed_exits_1(self, workdir, tmp_path, monkeypatch):
+        monkeypatch.setenv("AGS_SEED", "three")
+        args = ["sample", "node", *graph_flags(workdir), "--table", p(workdir, "sim.agsr"),
+                "--seeds", p(workdir, "seeds.txt"), "--out", str(tmp_path / "o")]
+        assert cli.main(args) == 1
+        assert "AGS_SEED" in json.loads((tmp_path / "o.manifest.json").read_text())["error"]
+        # the environment is read only when no flag or file gives the seed
+        assert cli.main([*args, "--seed", "3"]) == 0
+
+
+class TestSynthEdgeList:
+    @pytest.mark.parametrize("hn, degree, seed", [("0.3", "8", "7"), ("0.1,0.6", "3", "2")])
+    def test_matches_per_edge_writer(self, workdir, tmp_path, hn, degree, seed):
+        out = tmp_path / "g.edges"
+        assert cli.main(["synth", *data_flags(workdir), "--hn", hn, "--degree", degree,
+                         "--seed", seed, "--out", str(out)]) == 0
+        assert out.read_text() == edge_list_text_loop(load_edge_list(str(out)))
 
 
 class TestSampleCommands:

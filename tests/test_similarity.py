@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,26 @@ class TestTraining:
         for start in range(n_epochs - 10):
             deltas = [h[start + 10] - h[start] for h in histories]
             assert np.median(deltas) <= 1e-6
+
+
+class TestNonEdgeRejectionStaysBulk:
+    """Non-edge rejection looks a whole batch up in the sorted CSR keys."""
+
+    # sha256 of the saved model, written by the per-pair has_edge
+    # rejection loop this replaced. Float bits can differ with another BLAS.
+    GOLDEN_MODEL = "fb8b420fe388f240cfad983fed6246475ce8394f53eac3c8062624ac600e6095"
+
+    def test_has_edge_never_called(self, monkeypatch, tmp_path):
+        def per_pair(self, u, v):
+            raise AssertionError("Graph.has_edge called during training")
+
+        monkeypatch.setattr(G.Graph, "has_edge", per_pair)
+        g, x, y = separable_toy(noise=0.3)
+        cfg = S.SiameseConfig(h1=8, h2=8, batch_pairs=64, epochs=40, seed=4)
+        model, history = S.train_similarity(g, x, y, cfg)
+        assert len(history) == 40
+        S.save_similarity_model(str(tmp_path / "m"), model)
+        assert hashlib.sha256((tmp_path / "m").read_bytes()).hexdigest() == self.GOLDEN_MODEL
 
 
 class TestGradients:
