@@ -565,7 +565,7 @@ def build_parser(environ=None, required=True) -> argparse.ArgumentParser:
     pr.add_argument("--k2", type=float, default=0.2)
     pr.add_argument("--lambdas", type=_csv(float, (3,)), default="4,2,1")
     pr.add_argument("--rate", type=float, default=0.5)
-    pr.add_argument("--sim-epochs", type=int, default=60)
+    pr.add_argument("--sim-epochs", type=_positive_int, default=60)
     pr.set_defaults(out_required=True)
 
     ps = sub.add_parser("sample", help="draw subgraphs from rank tables")

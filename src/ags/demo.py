@@ -132,27 +132,26 @@ def new_model(
     return DemoModel(channels=channels, combiner=combiner, skip=skip, head=head)
 
 
-_SUM_COLUMNS = 16  # columns per bincount: bounds its (edges x columns) temporaries
+def _segment_sum(x: np.ndarray, src: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """(lens.size, w) array whose row r sums ``x[src[e]]`` over row r's entries.
 
-
-def _gather_sum(x: np.ndarray, take: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """(n, w) array whose row r sums ``x[take[e]]`` over every e with rows[e] == r.
-
-    One ``np.bincount`` over (row, column) cells per block of columns;
-    every full block shares one cell array.
+    ``src`` lists the entries row by row, ``lens[r]`` of them for row r.
+    Every row adds its entries in order, starting from 0.0. The rows go
+    in lockstep, ordered by count, descending: step j adds the j-th
+    entry of the first k rows, those with more than j entries. So the
+    loop runs max(lens) steps.
     """
-    w = x.shape[1]
-    out = np.zeros((n, w))
-    if take.size == 0:
-        return out
-    b = min(_SUM_COLUMNS, w)
-    cells = (rows[:, None] * b + np.arange(b)).ravel()
-    for j in range(0, w, b):
-        if w - j < b:  # a narrower last block
-            b = w - j
-            cells = (rows[:, None] * b + np.arange(b)).ravel()
-        vals = x[take, j : j + b].ravel()
-        out[:, j : j + b] = np.bincount(cells, weights=vals, minlength=n * b).reshape(n, b)
+    n = lens.size
+    acc = np.zeros((n, x.shape[1]))
+    if src.size == 0:
+        return acc
+    order = np.argsort(-lens)
+    first = (np.cumsum(lens) - lens)[order]
+    live = n - np.cumsum(np.bincount(lens))[:-1]  # rows with more than j entries
+    for j, k in enumerate(live.tolist()):
+        acc[:k] += x[src[first[:k] + j]]
+    out = np.empty_like(acc)
+    out[order] = acc
     return out
 
 
@@ -165,13 +164,15 @@ class Block:
     ``self_at`` holds each row's position in R_in. ``take`` and ``seg``
     list the rows' sampled out-edges in CSR order: the position in R_in of
     each edge's target and the index in ``rows`` of its source.
-    ``denom`` is each row's out-degree, 1 where it has none.
+    ``lens`` is each row's out-degree and ``denom`` the same, 1 where it
+    has none.
     """
 
     rows: np.ndarray
     self_at: np.ndarray
     take: np.ndarray
     seg: np.ndarray
+    lens: np.ndarray
     denom: np.ndarray
 
 
@@ -195,7 +196,7 @@ def receptive_blocks(g: Graph, seeds: np.ndarray, n_layers: int) -> tuple[np.nda
         member[targets] = True
         at = np.cumsum(member) - 1  # position within the layer's input rows
         blocks.append(
-            Block(rows, at[rows], at[targets], seg, np.maximum(lens, 1).astype(np.float64))
+            Block(rows, at[rows], at[targets], seg, lens, np.maximum(lens, 1).astype(np.float64))
         )
         rows = np.flatnonzero(member)
     blocks.reverse()
@@ -223,7 +224,7 @@ def forward_channel(
             raise ValueError(
                 f"layer expects width {layer.w_self.shape[1]}, got {h.shape[1]}"
             )
-        agg = _gather_sum(h, blk.take, blk.seg, blk.rows.size) / blk.denom[:, None]
+        agg = _segment_sum(h, blk.take, blk.lens) / blk.denom[:, None]
         z = h[blk.self_at] @ layer.w_self.T + agg @ layer.w_neigh.T + layer.b
         cache.append((blk, h, agg, z))
         h = np.maximum(z, 0.0)
@@ -251,9 +252,13 @@ def backward_channel(
         grads[i] = (dz.T @ h_in[blk.self_at], dz.T @ agg, dz.sum(axis=0))
         if i == 0:
             break
-        # each edge passes back its share of the mean
+        # each edge passes back its share of the mean, summed per input row
+        # in edge order: one sort of take * E + edge groups the edges
         d_agg = (dz @ layers[i].w_neigh) / blk.denom[:, None]
-        d_h = _gather_sum(d_agg, blk.seg, blk.take, h_in.shape[0])
+        n_edges = blk.take.size
+        edge = np.sort(blk.take * n_edges + np.arange(n_edges)) % n_edges
+        in_lens = np.bincount(blk.take, minlength=h_in.shape[0])
+        d_h = _segment_sum(d_agg, blk.seg[edge], in_lens)
         d_h[blk.self_at] += dz @ layers[i].w_self
     return grads  # type: ignore[return-value]
 

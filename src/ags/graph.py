@@ -100,7 +100,9 @@ def from_edges(
 
     Duplicate edges are merged. When ``directed`` is false the reverse of
     every edge is added before the merge, so the result is symmetric;
-    self-loops stay single entries.
+    self-loops stay single entries. The merge sorts the int64 keys
+    ``src * n + dst`` once (``unique_ids``) and splits them back into
+    (src, dst) pairs with ``np.divmod``.
     """
     src = np.asarray(sources, dtype=np.int64)
     dst = np.asarray(targets, dtype=np.int64)
@@ -115,14 +117,9 @@ def from_edges(
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
 
     if src.size:
-        # Lexicographic merge: unique (src, dst) pairs.
-        keys = src * np.int64(n) + dst
-        order = np.argsort(keys, kind="stable")
-        keys, src, dst = keys[order], src[order], dst[order]
-        # the keys are sorted, so each run of equal keys starts where a
-        # key differs from its predecessor (``np.unique`` would sort again)
-        first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-        src, dst = src[first], dst[first]
+        # lexicographic merge: the distinct keys, ascending, are the
+        # distinct (src, dst) pairs in CSR order
+        src, dst = np.divmod(unique_ids(src * np.int64(n) + dst), n)
 
     counts = np.bincount(src, minlength=n) if src.size else np.zeros(n, dtype=np.int64)
     offsets = np.zeros(n + 1, dtype=np.int64)
@@ -449,8 +446,9 @@ class RankTable:
         """
         self.check_rows(g)
         rows = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees())
-        # one int64 key per entry orders by row, then by id
-        order = np.argsort(rows * g.n + self.ranked_ids, kind="stable")
+        # one int64 key per entry orders by row, then by id; the keys of
+        # a valid table are distinct, so the sort needs no stability
+        order = np.argsort(rows * g.n + self.ranked_ids)
         if not np.array_equal(self.ranked_ids[order], g.targets):
             raise ValueError(
                 "rank table rows do not match the graph: a row is not a permutation of N(u)"

@@ -87,13 +87,17 @@ def _inverse_cdf(rt: RankTable, src: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _lexsort_rows(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The order of ``np.lexsort((keys, rows))`` for float keys, faster.
 
-    Replaces each key by its global rank, so one integer argsort of
-    row * size + rank sorts by row, then key. Equal keys may come in
-    either order; the result is still a function of the input alone.
+    Replaces each key by its global rank, so the integers
+    row * size + rank sort by row, then key. They are distinct, so a
+    plain sort of them, decoded through rank % size, gives the order.
+    Equal keys may come in either order; the result is still a function
+    of the input alone.
     """
-    rank = np.empty(keys.size, dtype=np.int64)
-    rank[np.argsort(keys)] = np.arange(keys.size)
-    return np.argsort(rows * keys.size + rank)
+    size = keys.size
+    by_key = np.argsort(keys)
+    rank = np.empty(size, dtype=np.int64)
+    rank[by_key] = np.arange(size)
+    return by_key[np.sort(rows * size + rank) % size]
 
 
 def sample_neighbors(
@@ -141,6 +145,8 @@ def node_sample_khop(
     if seed_arr.min() < 0 or seed_arr.max() >= g.n:
         raise ValueError("seed id out of range")
     fanouts = [int(f) for f in fanouts]
+    if any(f < 1 for f in fanouts):
+        raise ValueError("fanouts must be positive")
 
     outs = []
     for rt in tabs:
@@ -168,6 +174,11 @@ def weighted_random_walk(
     neighbors owns ``steps`` uniforms, drawn walk by walk. A dead end
     (vertex with no ranked neighbors) truncates that walk. steps = 0
     returns the seeds with no edges.
+
+    Before each step the live walks are put in the order of their search
+    keys (vertex + uniform), so the CDF search runs on ascending keys.
+    The subgraph is built from the set of walk edges, which that order
+    does not change.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -185,7 +196,10 @@ def weighted_random_walk(
     for t in range(steps):
         if cur.size == 0:
             break
-        nxt = _inverse_cdf(rt, cur, u[walker, t])
+        step = u[walker, t]
+        order = np.argsort(step + cur)
+        cur, walker = cur[order], walker[order]
+        nxt = _inverse_cdf(rt, cur, step[order])
         hops.append(np.stack([cur, nxt], axis=1))
         keep = rt.offsets[nxt + 1] > rt.offsets[nxt]
         cur, walker = nxt[keep], walker[keep]
@@ -233,10 +247,14 @@ def _canonical_undirected(g: Graph, edge_weights: np.ndarray):
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
     key = lo * g.n + hi
-    uniq, inverse = np.unique(key, return_inverse=True)
-    w = np.zeros(uniq.shape[0], dtype=np.float64)
-    np.maximum.at(w, inverse, edge_weights)
-    return uniq // g.n, uniq % g.n, w
+    order = np.argsort(key)
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))  # each run of one key
+    # the maximum's value does not depend on the order; only the sign of
+    # a zero maximum does, and forest weights are floored above zero
+    w = np.maximum.reduceat(edge_weights[order], first)
+    us, vs = np.divmod(key[first], g.n)
+    return us, vs, w
 
 
 def disjoint_decompose(

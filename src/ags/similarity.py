@@ -291,6 +291,8 @@ def train_similarity(
     regression target for every pair is the label-match indicator.
     Returns the model and the per-epoch loss history.
     """
+    if cfg.epochs < 1:
+        raise ValueError("epochs must be positive")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != g.n:
         raise ValueError("need one feature row per node")

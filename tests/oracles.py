@@ -179,6 +179,61 @@ def kruskal_forests(g, edge_weights, k_parts):
     return forests, weights, np.stack([us[left], vs[left]], axis=1), flags
 
 
+# ------------------------------------------------------ stable-sort cores
+#
+# The merges and orders as they were computed with stable argsorts and
+# their gathers. The library's sort-light versions must match them bit
+# for bit.
+
+
+def from_edges_stable(n, sources, targets, directed=False):
+    """(offsets, targets) of the CSR graph: a stable argsort of the keys
+    src * n + dst, three gathers, the first of each run of equal keys."""
+    src = np.asarray(sources, dtype=np.int64)
+    dst = np.asarray(targets, dtype=np.int64)
+    if not directed and src.size:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    if src.size:
+        keys = src * np.int64(n) + dst
+        order = np.argsort(keys, kind="stable")
+        keys, src, dst = keys[order], src[order], dst[order]
+        first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        src, dst = src[first], dst[first]
+    counts = np.bincount(src, minlength=n) if src.size else np.zeros(n, dtype=np.int64)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets, dst.astype(np.int64)
+
+
+def lexsort_rows_two_argsorts(keys, rows):
+    """Order by row, then float key: each key's global rank, then one
+    argsort of row * size + rank."""
+    rank = np.empty(keys.size, dtype=np.int64)
+    rank[np.argsort(keys)] = np.arange(keys.size)
+    return np.argsort(rows * keys.size + rank)
+
+
+def gather_sum_bincount(x, take, rows, n):
+    """(n, w) array whose row r sums ``x[take[e]]`` over every e with
+    rows[e] == r: one bincount over (row, column) cells per column."""
+    out = np.zeros((n, x.shape[1]))
+    for j in range(x.shape[1]):
+        out[:, j] = np.bincount(rows, weights=x[take, j], minlength=n)
+    return out
+
+
+def canonical_undirected_scatter(g, edge_weights):
+    """Unique (u, v, w) with u <= v, w the maximum over both directions,
+    scattered by np.maximum.at into zeros."""
+    pairs = g.edge_array()
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    uniq, inverse = np.unique(lo * g.n + hi, return_inverse=True)
+    w = np.zeros(uniq.shape[0], dtype=np.float64)
+    np.maximum.at(w, inverse, edge_weights)
+    return uniq // g.n, uniq % g.n, w
+
+
 # ---------------------------------------------------------- aggregation
 
 

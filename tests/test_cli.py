@@ -518,6 +518,15 @@ class TestSampleCommands:
             flat = [e for layer in channel["layers"] for e in layer]
             assert sorted(map(tuple, flat)) == sorted(map(tuple, channel["edges"]))
 
+    def test_zero_fanout_exits_1(self, workdir, tmp_path, capsys):
+        out = tmp_path / "zero.json"
+        assert cli.main(["sample", "node", *graph_flags(workdir),
+                         "--table", p(workdir, "sim.agsr"),
+                         "--seeds", p(workdir, "seeds.txt"),
+                         "--fanouts", "0,2", "--out", str(out)]) == 1
+        assert "fanouts must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_walk_batch_draws_seed_nodes(self, workdir):
         out = p(workdir, "walkb.json")
         assert cli.main(["sample", "walk", *graph_flags(workdir),
@@ -604,6 +613,25 @@ class TestLearnedRank:
         assert rt.mode == "similar"
         with open(out + ".model", "rb") as fh:
             assert fh.read(4) == b"AGSM"
+
+    def learned_args(self, workdir, out):
+        return ["rank", *graph_flags(workdir), "--features", p(workdir, "x.txt"),
+                "--labels", p(workdir, "y.txt"), "--mode", "similar",
+                "--sim", "learned", "--workers", "1", "--out", str(out)]
+
+    def test_zero_sim_epochs_flag_exits_2(self, workdir, tmp_path, capsys):
+        out = tmp_path / "t.agsr"
+        assert cli.main([*self.learned_args(workdir, out), "--sim-epochs", "0"]) == 2
+        assert "argument --sim-epochs: expected a positive integer" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_zero_sim_epochs_config_key_exits_1(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("sim-epochs=0\n")
+        out = tmp_path / "t.agsr"
+        assert cli.main([*self.learned_args(workdir, out), "--config", str(cfg)]) == 1
+        assert "--sim-epochs" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "t.agsr.model").exists()
 
     def test_learned_without_labels_exits_1(self, workdir):
         assert cli.main(["rank", *graph_flags(workdir),

@@ -4,6 +4,7 @@ from oracles import (
     backward_channel_whole as oracle_backward,
     central_difference_grads,
     forward_channel_whole as oracle_forward,
+    gather_sum_bincount,
     max_relative_error,
     mean_aggregate_add_at,
     mean_aggregate_grad_add_at,
@@ -168,14 +169,38 @@ class TestAggregationOracle:
                 sub.graph, dz @ layers[i].w_neigh
             )
 
-    @pytest.mark.parametrize("width", [16, 37, 64])
-    def test_wide_rows_sum_in_column_blocks(self, width):
+    @pytest.mark.parametrize("width", [1, 16, 37, 64])
+    def test_segment_sum_bytes_match_bincount(self, width):
+        # both layouts: rows gathering their out-edges (forward) and
+        # rows gathering the edges that point at them (backward)
         _, sub = sampled_sub(1, replace=True)
         g = sub.graph
         h = np.random.default_rng(width).normal(size=(g.n, width))
         src = np.repeat(np.arange(g.n), g.degrees())
-        got = D._gather_sum(h, g.targets, src, g.n) / np.maximum(g.degrees(), 1)[:, None]
-        assert np.allclose(got, mean_aggregate_add_at(g, h), rtol=1e-12, atol=1e-12)
+        got = D._segment_sum(h, g.targets, g.degrees())
+        assert got.tobytes() == gather_sum_bincount(h, g.targets, src, g.n).tobytes()
+        by_target = np.argsort(g.targets, kind="stable")
+        got = D._segment_sum(h, src[by_target], np.bincount(g.targets, minlength=g.n))
+        assert got.tobytes() == gather_sum_bincount(h, src, g.targets, g.n).tobytes()
+        mean = D._segment_sum(h, g.targets, g.degrees()) / np.maximum(g.degrees(), 1)[:, None]
+        assert np.allclose(mean, mean_aggregate_add_at(g, h), rtol=1e-12, atol=1e-12)
+
+    def test_segment_sum_star_hub(self):
+        # one row gathers 2,048 entries, so the lockstep loop runs 2,048
+        # steps over a single live row; signed zeros start from 0.0
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2048, 8))
+        x[:, 0] = -0.0
+        lens = np.zeros(2049, dtype=np.int64)
+        lens[7] = 2048
+        got = D._segment_sum(x, np.arange(2048), lens)
+        want = gather_sum_bincount(x, np.arange(2048), np.full(2048, 7), 2049)
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[:, 0]).any()
+
+    def test_segment_sum_empty(self):
+        got = D._segment_sum(np.ones((4, 3)), np.zeros(0, dtype=np.int64), np.zeros(2, dtype=np.int64))
+        assert got.shape == (2, 3) and not got.any()
 
     def test_isolated_rows_and_empty_graph(self):
         # rows 1, 2 and 4 aggregate nothing; row 3 aggregates its self-loop

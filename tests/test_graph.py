@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from oracles import (
     build_subgraph_dict,
+    from_edges_stable,
     load_edge_list_loop,
     load_features_loop,
     load_id_file_loop,
@@ -73,6 +74,46 @@ class TestFromEdges:
             u2 = G.from_edges(g.n, e1[:, 0], e1[:, 1], directed=False)
             assert np.array_equal(u1.offsets, u2.offsets)
             assert np.array_equal(u1.targets, u2.targets)
+
+
+def _edge_cases(rng):
+    """(n, src, dst) inputs heavy in repeats: duplicate edges, self-loops,
+    a hub whose keys tie, empty input and one-node graphs."""
+    yield 0, [], []
+    yield 1, [], []
+    yield 1, [0, 0, 0], [0, 0, 0]
+    yield 5, [2, 2, 2, 2], [2, 4, 2, 4]
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        m = int(rng.integers(0, 4 * n))
+        src = rng.integers(0, n, size=m)
+        dst = rng.integers(0, n, size=m)
+        hub = rng.random(m) < 0.3  # many edges of one vertex, many repeated
+        src[hub] = 0
+        dst[hub] = rng.integers(0, max(1, n // 4), size=int(hub.sum()))
+        loops = rng.random(m) < 0.1
+        dst[loops] = src[loops]
+        yield n, src, dst
+
+
+class TestFromEdgesAgainstStableSort:
+    """One sort and a divmod give the bytes of the stable-argsort merge."""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_byte_equal_fuzz(self, directed):
+        for n, src, dst in _edge_cases(np.random.default_rng(12)):
+            g = G.from_edges(n, src, dst, directed=directed)
+            offsets, targets = from_edges_stable(n, src, dst, directed=directed)
+            assert g.offsets.tobytes() == offsets.tobytes()
+            assert g.targets.dtype == targets.dtype == np.int64
+            assert g.targets.tobytes() == targets.tobytes()
+
+    def test_list_and_int32_inputs(self):
+        for src, dst in (([3, 0, 3, 1], [0, 3, 0, 1]), (np.int32([3, 0, 3]), np.int32([0, 3, 0]))):
+            g = G.from_edges(4, src, dst, directed=True)
+            offsets, targets = from_edges_stable(4, src, dst, directed=True)
+            assert g.offsets.tobytes() == offsets.tobytes()
+            assert g.targets.tobytes() == targets.tobytes()
 
 
 class TestLoaders:
@@ -670,6 +711,26 @@ class TestRankTablePersistence:
         )
         with pytest.raises(ValueError, match="permutation"):
             bad.validate(g)
+
+    def test_graph_order_is_the_stable_order(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            g = fuzz_graph(rng, p=0.3)
+            rows = np.repeat(np.arange(g.n), g.degrees())
+            ranked = g.targets[np.lexsort((rng.random(g.m), rows))]
+            rt = G.make_rank_table("uniform", "uniform", (0,) * 6, g.offsets, ranked, np.ones(g.m))
+            order = rt.graph_order(g)
+            assert np.array_equal(order, np.argsort(rows * g.n + ranked, kind="stable"))
+            assert np.array_equal(ranked[order], g.targets)
+
+    @pytest.mark.parametrize("ranked", [[1, 1, 2], [2, 2, 2], [5, 1, 1], [1, 2, -2]])
+    def test_graph_order_rejects_tied_or_foreign_ids(self, ranked):
+        # equal keys (a repeated id, or ids out of range that collide
+        # across rows) cannot pass, whatever order they sort in
+        g = G.from_edges(4, [0, 0, 1], [1, 2, 2], directed=True)
+        rt = G.make_rank_table("uniform", "uniform", (0,) * 6, [0, 2, 3, 3, 3], ranked, [1.0] * 3)
+        with pytest.raises(ValueError, match="permutation"):
+            rt.graph_order(g)
 
 
 class TestRankTableCdf:

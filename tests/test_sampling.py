@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 from oracles import (
     build_subgraph_dict,
+    canonical_undirected_scatter,
     edge_weights_dict,
     kruskal_forests,
+    lexsort_rows_two_argsorts,
     sample_frontier_loop,
     walk_edges_loop,
 )
@@ -241,6 +245,12 @@ class TestNodeSampleKhop:
         g, rt = star_table(3)
         with pytest.raises(ValueError, match="range"):
             SA.node_sample_khop(g, rt, [9], [2], SA.rng_for(0))
+
+    @pytest.mark.parametrize("fanouts", [[0, 2], [2, 0], [-1]])
+    def test_nonpositive_fanout_rejected(self, fanouts):
+        g, rt = star_table(3)
+        with pytest.raises(ValueError, match="fanouts must be positive"):
+            SA.node_sample_khop(g, rt, [0], fanouts, SA.rng_for(0))
 
     def test_full_fanout_gives_two_hop_egonet(self):
         rng = np.random.default_rng(1)
@@ -689,3 +699,101 @@ class TestEdgeWeightsFromTable:
         assert np.array_equal(rt2.offsets, g2.offsets)
         with pytest.raises(ValueError, match="do not match"):
             SA.edge_weights_from_table(g2, rt2)
+
+
+class TestLexsortRows:
+    """One argsort and one sort give the order of the two-argsort version."""
+
+    def test_byte_equal_fuzz(self):
+        rng = np.random.default_rng(21)
+        cases = [(np.zeros(0), np.zeros(0, dtype=np.int64)), (np.ones(1), np.zeros(1, dtype=np.int64))]
+        for _ in range(80):
+            size = int(rng.integers(1, 200))
+            rows = np.sort(rng.integers(0, int(rng.integers(1, 20)), size=size))
+            # few distinct values: many tied keys, within and across rows
+            keys = rng.integers(0, int(rng.integers(1, 6)), size=size) / 4.0
+            if rng.random() < 0.5:
+                keys = -np.log(rng.random(size))
+            cases.append((keys, rows))
+        for keys, rows in cases:
+            got = SA._lexsort_rows(keys, rows)
+            assert got.tobytes() == lexsort_rows_two_argsorts(keys, rows).tobytes()
+            assert np.array_equal(np.sort(got), np.arange(keys.size))
+            assert np.all(np.diff(rows[got]) >= 0)
+
+
+class TestCanonicalUndirected:
+    def test_matches_scatter_max(self):
+        rng = np.random.default_rng(22)
+        for directed in (False, True):
+            for _ in range(20):
+                n = int(rng.integers(1, 30))
+                src, dst = rng.integers(0, n, size=(2, 3 * n))
+                g = G.from_edges(n, src, dst, directed=directed)
+                w = rng.choice([0.0, -0.0, 0.25, 0.5, 1.0], size=g.m)
+                us, vs, ws = SA._canonical_undirected(g, w)
+                want_u, want_v, want_w = canonical_undirected_scatter(g, w)
+                assert us.tobytes() == want_u.tobytes() and vs.tobytes() == want_v.tobytes()
+                # equal values; a zero may differ in sign, which the
+                # decomposition never shows (forest weights are floored)
+                assert ws.dtype == want_w.dtype and np.array_equal(ws, want_w)
+                a = SA.disjoint_decompose(g, w, 2)
+                b = SA.disjoint_decompose(g, np.abs(w), 2)
+                assert np.array([x for _, x in a.parts]).tobytes() == np.array(
+                    [x for _, x in b.parts]
+                ).tobytes()
+                for i in range(len(a.parts)):
+                    assert np.array_equal(a.part_edges(i), b.part_edges(i))
+
+    def test_empty_graph(self):
+        g = G.from_edges(3, [], [], directed=False)
+        us, vs, ws = SA._canonical_undirected(g, np.zeros(0))
+        assert us.size == vs.size == ws.size == 0
+
+
+def chung_lu_with_hubs(n=600, m=3000, seed=11):
+    """Endpoints drawn with weight (i + 1) ** -0.7: a few hub vertices."""
+    rng = np.random.default_rng(seed)
+    w = np.arange(1, n + 1) ** -0.7
+    p = w / w.sum()
+    src = rng.choice(n, size=m, p=p)
+    dst = rng.choice(n, size=m, p=p)
+    return G.from_edges(n, src, dst, directed=False), rng.normal(size=(n, 4))
+
+
+class TestPinnedSamplerDigest:
+    """Every sampler's output on a seeded hub graph, pinned to the bytes
+    the samplers gave before walks sorted their keys and the graph merge
+    dropped its stable argsort."""
+
+    DIGEST = "ce9457954dd14ab18515501cd8677f944b8e7bc493504109169e09c0e98d479f"
+
+    def test_digest(self):
+        g, x = chung_lu_with_hubs()
+        assert g.degrees().max() > 150
+        rt = R.rank_by_similarity(g, x, pmf=R.PmfSpec(kind="exponential", rate=0.7))
+        h = hashlib.sha256()
+
+        def put(*arrs):
+            for a in arrs:
+                h.update(np.ascontiguousarray(a).tobytes())
+
+        def put_sub(sub):
+            put(sub.parent_ids, sub.graph.offsets, sub.graph.targets, sub.seed_mask)
+            for layer in sub.layers or ():
+                put(layer)
+
+        put(g.offsets, g.targets)
+        seeds = np.arange(0, g.n, 7)
+        for replace in (False, True):
+            put_sub(SA.node_sample_khop(
+                g, rt, seeds, [10, 5], SA.rng_for(3, int(replace)), replace=replace
+            ))
+        walk_seeds = np.concatenate([seeds, seeds[:20]])
+        put_sub(SA.weighted_random_walk(g, rt, walk_seeds, 12, SA.rng_for(4)))
+        col = SA.disjoint_decompose(g, SA.edge_weights_from_table(g, rt), 3)
+        for sub, weight in col.parts:
+            put_sub(sub)
+            put(np.float64(weight))
+        put_sub(SA.disjoint_subgraph_sample(col, 2, 0.3, SA.rng_for(5)))
+        assert h.hexdigest() == self.DIGEST

@@ -201,6 +201,11 @@ class TestTraining:
         model, history = S.train_similarity(g, x, y, cfg)
         assert history[-1] < 0.05
 
+    def test_zero_epochs_rejected(self):
+        g, x, y = separable_toy()
+        with pytest.raises(ValueError, match="epochs must be positive"):
+            S.train_similarity(g, x, y, S.SiameseConfig(h1=4, h2=4, epochs=0))
+
     def test_no_edges_single_member_classes_error(self):
         g = G.from_edges(3, [], [], directed=False)
         y = np.array([0, 1, 2])
