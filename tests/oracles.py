@@ -181,9 +181,9 @@ def kruskal_forests(g, edge_weights, k_parts):
 
 # ------------------------------------------------------ stable-sort cores
 #
-# The merges and orders as they were computed with stable argsorts and
-# their gathers. The library's sort-light versions must match them bit
-# for bit.
+# Merges, orders and row sums built on stable argsorts, bincounts and
+# scatters. The library's sort-light versions must match them bit for
+# bit.
 
 
 def from_edges_stable(n, sources, targets, directed=False):
@@ -215,7 +215,7 @@ def lexsort_rows_two_argsorts(keys, rows):
 
 def gather_sum_bincount(x, take, rows, n):
     """(n, w) array whose row r sums ``x[take[e]]`` over every e with
-    rows[e] == r: one bincount over (row, column) cells per column."""
+    rows[e] == r, in entry order from 0.0: one bincount per column."""
     out = np.zeros((n, x.shape[1]))
     for j in range(x.shape[1]):
         out[:, j] = np.bincount(rows, weights=x[take, j], minlength=n)

@@ -108,13 +108,6 @@ class TestFromEdgesAgainstStableSort:
             assert g.targets.dtype == targets.dtype == np.int64
             assert g.targets.tobytes() == targets.tobytes()
 
-    def test_list_and_int32_inputs(self):
-        for src, dst in (([3, 0, 3, 1], [0, 3, 0, 1]), (np.int32([3, 0, 3]), np.int32([0, 3, 0]))):
-            g = G.from_edges(4, src, dst, directed=True)
-            offsets, targets = from_edges_stable(4, src, dst, directed=True)
-            assert g.offsets.tobytes() == offsets.tobytes()
-            assert g.targets.tobytes() == targets.tobytes()
-
 
 class TestLoaders:
     def test_header_and_comments(self, tmp_path):

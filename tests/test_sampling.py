@@ -745,10 +745,11 @@ class TestCanonicalUndirected:
                 for i in range(len(a.parts)):
                     assert np.array_equal(a.part_edges(i), b.part_edges(i))
 
-    def test_empty_graph(self):
+    def test_edgeless_graph(self):
         g = G.from_edges(3, [], [], directed=False)
-        us, vs, ws = SA._canonical_undirected(g, np.zeros(0))
-        assert us.size == vs.size == ws.size == 0
+        col = SA.disjoint_decompose(g, np.zeros(0), 2)
+        assert col.flags == ["exhausted_after=0"]
+        assert len(col.parts) == 1 and col.part_edges(0).shape == (0, 2)
 
 
 def chung_lu_with_hubs(n=600, m=3000, seed=11):
