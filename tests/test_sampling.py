@@ -706,7 +706,8 @@ class TestLexsortRows:
 
     def test_byte_equal_fuzz(self):
         rng = np.random.default_rng(21)
-        cases = [(np.zeros(0), np.zeros(0, dtype=np.int64)), (np.ones(1), np.zeros(1, dtype=np.int64))]
+        empty, one = np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        cases = [(np.zeros(0), empty), (np.ones(1), one)]
         for _ in range(80):
             size = int(rng.integers(1, 200))
             rows = np.sort(rng.integers(0, int(rng.integers(1, 20)), size=size))
