@@ -359,6 +359,7 @@ def cmd_train_demo(ns, ctx) -> dict:
     cfg = demo.TrainConfig(
         hidden=ns.hidden, fanouts=ns.fanouts, batch_size=ns.batch_size, epochs=ns.epochs,
         lr=ns.lr, combiner=_COMBINER_MAP[ns.combiner], mc_samples=ns.mc_samples, seed=ns.seed,
+        replace=ns.replace,
     )
     split = demo.make_split(g.n, sampling.rng_for(ns.seed, _STREAM_SPLIT))
     model, history = demo.train(g, x, y, tables, cfg, split=split)
@@ -622,6 +623,7 @@ def build_parser(environ=None, required=True) -> argparse.ArgumentParser:
     pt.add_argument("--batch-size", type=int, default=256)
     pt.add_argument("--fanouts", type=_csv(int), default="8,4")
     pt.add_argument("--mc-samples", type=int, default=3)
+    pt.add_argument("--replace", action="store_true")
 
     pb = sub.add_parser("bench", parents=[shared], help="timing report")
     pb.add_argument("--sizes", type=_csv(int), default="1000,2000,4000")

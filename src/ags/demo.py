@@ -138,8 +138,9 @@ def _segment_sum(x: np.ndarray, src: np.ndarray, lens: np.ndarray) -> np.ndarray
     ``src`` lists the entries row by row, ``lens[r]`` of them for row r.
     Every row adds its entries in order, starting from 0.0. The rows go
     in lockstep, ordered by count, descending: step j adds the j-th
-    entry of the first k rows, those with more than j entries. So the
-    loop runs max(lens) steps.
+    entry of the first k rows, those with more than j entries. Once
+    fewer rows are live than steps remain, ``_finish_rows`` adds the
+    live rows' remaining entries, so a long row costs no loop per entry.
     """
     n = lens.size
     acc = np.zeros((n, x.shape[1]))
@@ -149,10 +150,32 @@ def _segment_sum(x: np.ndarray, src: np.ndarray, lens: np.ndarray) -> np.ndarray
     first = (np.cumsum(lens) - lens)[order]
     live = n - np.cumsum(np.bincount(lens))[:-1]  # rows with more than j entries
     for j, k in enumerate(live.tolist()):
+        if k < live.size - j:
+            acc[:k] = _finish_rows(x, src, acc[:k], first[:k] + j, lens[order[:k]] - j)
+            break
         acc[:k] += x[src[first[:k] + j]]
     out = np.empty_like(acc)
     out[order] = acc
     return out
+
+
+def _finish_rows(x, src, partial, start, rest) -> np.ndarray:
+    """Row r of ``partial`` plus ``x[src[start[r] + t]]`` for t < rest[r].
+
+    One bincount over (row, column) cells. It adds a cell's weights in
+    the order they are listed, from 0.0: the partial sum first, then the
+    row's remaining entries in order, as the lockstep would.
+    """
+    k, w = partial.shape
+    size = rest + 1
+    item_row = np.repeat(np.arange(k), size)
+    t = np.arange(item_row.size) - (np.cumsum(size) - size)[item_row]  # 0: the partial sum
+    entry = t > 0
+    vals = np.empty((item_row.size, w))
+    vals[~entry] = partial
+    vals[entry] = x[src[(start[item_row] + t - 1)[entry]]]
+    cells = item_row[:, None] * w + np.arange(w)
+    return np.bincount(cells.ravel(), weights=vals.ravel(), minlength=k * w).reshape(k, w)
 
 
 @dataclass(frozen=True)

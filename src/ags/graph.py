@@ -69,6 +69,12 @@ class Graph:
         return np.column_stack([src, self.targets])
 
     def validate(self) -> None:
+        """Raise ValueError unless this is a well-formed CSR graph.
+
+        The message names the first row that does not strictly increase
+        and, when undirected, the first edge in CSR order whose reverse
+        is missing.
+        """
         if self.offsets.shape[0] != self.n + 1:
             raise ValueError("offsets length must be n+1")
         if self.offsets[0] != 0 or self.offsets[-1] != self.m:
@@ -78,16 +84,19 @@ class Graph:
         if self.m:
             if self.targets.min() < 0 or self.targets.max() >= self.n:
                 raise ValueError("target id out of range")
-        for u in range(self.n):
-            row = self.neighbors(u)
-            if row.shape[0] > 1 and np.any(np.diff(row) <= 0):
-                raise ValueError(f"row {u} not strictly increasing")
-        if not self.directed:
-            edges = self.edge_array()
-            fwd = {(int(u), int(v)) for u, v in edges}
-            for u, v in fwd:
-                if (v, u) not in fwd:
-                    raise ValueError(f"missing reverse edge for ({u},{v})")
+        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
+        dst = self.targets.astype(np.int64, copy=False)
+        bad = np.flatnonzero((np.diff(dst) <= 0) & (src[1:] == src[:-1]))
+        if bad.size:
+            raise ValueError(f"row {src[bad[0] + 1]} not strictly increasing")
+        if not self.directed and self.m:
+            # rows are sorted, so the keys src * n + dst ascend
+            keys = src * self.n + dst
+            back = dst * self.n + src
+            at = np.minimum(np.searchsorted(keys, back), self.m - 1)
+            lone = np.flatnonzero(keys[at] != back)
+            if lone.size:
+                raise ValueError(f"missing reverse edge for ({src[lone[0]]},{dst[lone[0]]})")
 
 
 def from_edges(

@@ -205,6 +205,33 @@ def from_edges_stable(n, sources, targets, directed=False):
     return offsets, dst.astype(np.int64)
 
 
+def validate_loop(g):
+    """Graph.validate's checks, one row at a time, then a Python set of
+    the edges, searched for reverses in sorted (CSR) order."""
+    if g.offsets.shape[0] != g.n + 1:
+        raise ValueError("offsets length must be n+1")
+    if g.offsets[0] != 0 or g.offsets[-1] != g.m:
+        raise ValueError("offsets must start at 0 and end at m")
+    if np.any(np.diff(g.offsets) < 0):
+        raise ValueError("offsets must be nondecreasing")
+    if g.m and (g.targets.min() < 0 or g.targets.max() >= g.n):
+        raise ValueError("target id out of range")
+    for u in range(g.n):
+        row = g.neighbors(u)
+        if row.shape[0] > 1 and np.any(np.diff(row) <= 0):
+            raise ValueError(f"row {u} not strictly increasing")
+    if not g.directed:
+        fwd = {(int(u), int(v)) for u, v in g.edge_array()}
+        for u, v in sorted(fwd):
+            if (v, u) not in fwd:
+                raise ValueError(f"missing reverse edge for ({u},{v})")
+
+
+def similar_order_lexsort(targets, score, row):
+    """Within each row: descending score, then ascending target."""
+    return np.lexsort((targets, -score, row))
+
+
 def lexsort_rows_two_argsorts(keys, rows):
     """Order by row, then float key: each key's global rank, then one
     argsort of row * size + rank."""

@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from ags import cli
+from ags import cli, demo, sampling
 from ags.graph import load_edge_list, load_rank_table
 from ags.similarity import new_siamese, save_similarity_model
 from oracles import edge_list_text_loop
@@ -276,7 +276,7 @@ class TestSeedPrecedence:
                          "--config", str(cfg),
                          "--out", p(workdir, "never.json")]) == 1
 
-    @pytest.mark.parametrize("line", ["replace=true", "fanout=3,2"])
+    @pytest.mark.parametrize("line", ["replacement=true", "fanout=3,2"])
     def test_unknown_config_key_exits_1(self, workdir, tmp_path, capsys, line):
         cfg = tmp_path / "train.cfg"
         cfg.write_text(f"epochs=1\n{line}\n")
@@ -686,6 +686,40 @@ class TestVerifyAndTrain:
         assert run["epochs_run"] == 2
         assert 0.0 <= run["test_micro_f1"] <= 1.0
         assert len(run["loss"]) == 2
+
+    def test_train_demo_replace_matches_api(self, workdir, tmp_path):
+        # the flag trains with replacement, as TrainConfig(replace=True)
+        # does; the final test evaluation keeps its default draws
+        base = ["train-demo", *graph_flags(workdir), *data_flags(workdir),
+                "--table-sim", p(workdir, "sim.agsr"), "--channels", "1",
+                "--epochs", "3", "--fanouts", "6,3", "--seed", "2"]
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("replace=true\n")
+        runs = {}
+        for name, extra in [("flag", ["--replace"]), ("config", ["--config", str(cfg)]),
+                            ("plain", [])]:
+            out = tmp_path / f"{name}.json"
+            assert cli.main([*base, *extra, "--out", str(out)]) == 0
+            manifest = json.loads((tmp_path / f"{name}.json.manifest.json").read_text())
+            runs[name] = out.read_bytes(), manifest["config"]["replace"]
+        assert runs["flag"] == runs["config"]
+        assert runs["flag"][1] is True and runs["plain"][1] is False
+        assert runs["flag"][0] != runs["plain"][0]
+
+        g = load_edge_list(p(workdir, "g.edges"))
+        x = np.loadtxt(p(workdir, "x.txt"), delimiter=",")
+        y = np.loadtxt(p(workdir, "y.txt"), dtype=np.int64)
+        tables = [load_rank_table(p(workdir, "sim.agsr"))]
+        cfg = demo.TrainConfig(hidden=64, fanouts=(6, 3), epochs=3, combiner="concat_mlp",
+                               seed=2, replace=True)
+        split = demo.make_split(g.n, sampling.rng_for(2, cli._STREAM_SPLIT))
+        model, history = demo.train(g, x, y, tables, cfg, split=split)
+        f1 = demo.evaluate(model, g, x, y, tables, split[2], fanouts=(6, 3),
+                           rng=sampling.rng_for(2, cli._STREAM_EVAL))
+        run = json.loads(runs["flag"][0])
+        assert run["loss"] == [round(v, 10) for v in history["loss"]]
+        assert run["val_f1"] == [round(v, 10) for v in history["val_f1"]]
+        assert run["test_micro_f1"] == f1
 
 
 class TestBench:

@@ -198,6 +198,33 @@ class TestAggregationOracle:
         assert got.tobytes() == want.tobytes()
         assert not np.signbit(got[:, 0]).any()
 
+    @pytest.mark.parametrize("width", [1, 8, 64])
+    def test_segment_sum_long_row_beside_short_ones(self, width):
+        # node 0 sends to and hears from 299 others and node 7 from 40,
+        # among rows of 0 to 4 entries, so in both layouts the lockstep
+        # hands its last live rows to the bincount tail; signed zeros
+        # included
+        rng = np.random.default_rng(width)
+        n = 400
+        spokes = np.arange(1, 300)
+        src = np.concatenate([np.zeros(299, dtype=np.int64), spokes,
+                              np.full(40, 7), rng.integers(1, n, size=300)])
+        dst = np.concatenate([spokes, np.zeros(299, dtype=np.int64),
+                              np.arange(100, 140), rng.integers(1, n, size=300)])
+        g = G.from_edges(n, src, dst, directed=True)
+        rows = np.repeat(np.arange(g.n), g.degrees())
+        lens = np.bincount(g.targets, minlength=g.n)
+        for ln in (g.degrees(), lens):
+            assert np.sort(ln)[-1] >= 299 and np.sort(ln)[-3] <= 10
+        h = rng.normal(size=(n, width))
+        h[rng.random(h.shape) < 0.2] = -0.0
+        fwd = D._segment_sum(h, g.targets, g.degrees())
+        assert fwd.tobytes() == gather_sum_bincount(h, g.targets, rows, g.n).tobytes()
+        # backward: each row sums the entries that point at it
+        by_target = np.argsort(g.targets, kind="stable")
+        bwd = D._segment_sum(h, rows[by_target], lens)
+        assert bwd.tobytes() == gather_sum_bincount(h, rows, g.targets, g.n).tobytes()
+
     def test_isolated_rows_and_empty_graph(self):
         # rows 1, 2 and 4 aggregate nothing; row 3 aggregates its self-loop
         g = G.from_edges(5, [0, 0, 3], [1, 2, 3], directed=True)

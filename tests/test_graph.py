@@ -12,6 +12,7 @@ from oracles import (
     load_features_loop,
     load_id_file_loop,
     load_labels_loop,
+    validate_loop,
 )
 
 from ags import cli, textscan
@@ -74,6 +75,60 @@ class TestFromEdges:
             u2 = G.from_edges(g.n, e1[:, 0], e1[:, 1], directed=False)
             assert np.array_equal(u1.offsets, u2.offsets)
             assert np.array_equal(u1.targets, u2.targets)
+
+
+def _csr(n, rows, directed=False):
+    """A Graph straight from per-row target lists, unchecked."""
+    offsets = np.concatenate([[0], np.cumsum([len(r) for r in rows])]).astype(np.int64)
+    targets = np.array([v for r in rows for v in r], dtype=np.int64)
+    return G.Graph(n=n, offsets=offsets, targets=targets, directed=directed)
+
+
+# (name, graph) cases that validate must refuse with the loop's message
+BAD_GRAPHS = {
+    "unsorted-row": _csr(4, [[1, 2], [0, 3], [0], [3, 1]], directed=True),
+    "repeated-target": _csr(3, [[1, 1], [0, 2, 2], [1, 1]]),
+    "later-unsorted-row": _csr(5, [[1], [0, 2], [1], [4, 4], [3]]),
+    "missing-reverse": _csr(4, [[1, 3], [0, 2], [1], []]),
+    "missing-reverse-last": _csr(4, [[1], [0], [3], [1, 2]]),
+    "three-missing-reverses": _csr(4, [[1, 3], [0, 2], [], [2]]),
+    "self-loop-only-edge-missing": _csr(3, [[0, 2], [], []]),
+    "target-out-of-range": _csr(3, [[1], [0, 3], []]),
+    "negative-target": _csr(3, [[-1, 1], [0], []]),
+}
+
+
+def _error(check, g):
+    """The message of the ValueError ``check(g)`` raises, or None."""
+    try:
+        check(g)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestValidate:
+    @pytest.mark.parametrize("name", sorted(BAD_GRAPHS))
+    def test_message_matches_loop(self, name):
+        g = BAD_GRAPHS[name]
+        want = _error(validate_loop, g)
+        assert want is not None and _error(G.Graph.validate, g) == want
+
+    def test_fuzz_edges_dropped(self):
+        # an undirected graph with one to three stored directions removed
+        # names the same first lone edge as the loop, in CSR order
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            g = fuzz_graph(rng, p=0.3)
+            g.validate()
+            if g.m < 2:
+                continue
+            keep = np.ones(g.m, dtype=bool)
+            keep[rng.integers(g.m, size=int(rng.integers(1, 4)))] = False
+            src = np.repeat(np.arange(g.n), g.degrees())[keep]
+            offsets = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=g.n))])
+            bad = G.Graph(n=g.n, offsets=offsets, targets=g.targets[keep], directed=False)
+            assert _error(G.Graph.validate, bad) == _error(validate_loop, bad)
 
 
 def _edge_cases(rng):

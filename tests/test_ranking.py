@@ -15,6 +15,7 @@ from oracles import (
     max_coverage_gain,
     naive_state_greedy,
     probs_loop,
+    similar_order_lexsort,
     similar_rows_loop,
 )
 
@@ -382,6 +383,55 @@ class TestRankBySimilarity:
         b = R.rank_by_similarity(g, x)
         assert np.array_equal(a.ranked_ids, b.ranked_ids)
         assert np.array_equal(a.probs, b.probs)
+
+
+def tie_graph_and_features(seed):
+    """Features drawn from six prototypes: duplicates, all-zero rows and
+    opposite pairs. Rows hold equal scores, 0.0 among them (cosine of an
+    opposite pair, neg_euclidean's farthest neighbour), and rows of one
+    degree share score values across rows."""
+    rng = np.random.default_rng(seed)
+    protos = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                       [0.0, 2.0, 0.0], [0.0, -2.0, 0.0], [1.0, 1.0, 0.0]])
+    n = 90
+    x = protos[rng.integers(0, len(protos), size=n)]
+    g = G.from_edges(n, rng.integers(0, n, size=300), rng.integers(0, n, size=300))
+    return g, x
+
+
+class TestSimilarOrderTies:
+    """_order_rows gives np.lexsort((targets, -score, row))'s order."""
+
+    @pytest.mark.parametrize("sim", ["cosine", "neg_euclidean"])
+    def test_rank_similar_matches_lexsort(self, monkeypatch, sim):
+        g, x = tie_graph_and_features(33)
+        seen = []
+        real = R._order_rows
+        monkeypatch.setattr(R, "_order_rows", lambda score, deg: seen.append(score) or real(score, deg))
+        rt = R.rank_by_similarity(g, x, sim=sim)
+        (score,) = seen
+        row = np.repeat(np.arange(g.n), g.degrees())
+        want = g.targets[similar_order_lexsort(g.targets, score, row)]
+        assert rt.ranked_ids.tobytes() == want.tobytes()
+        # the data ties inside rows, across rows, and at 0.0
+        pairs = np.unique(np.column_stack([row, score]), axis=0)
+        assert pairs.shape[0] < g.m
+        assert np.unique(pairs[:, 1]).size < pairs.shape[0]
+        assert np.count_nonzero(score == 0.0) > 1
+
+    def test_signed_zeros_and_fuzz(self):
+        rng = np.random.default_rng(34)
+        cases = [(np.array([0.0, -0.0, 0.5, -0.0, 0.0, 0.5, -0.0]), np.array([4, 0, 3]))]
+        for _ in range(200):
+            deg = rng.integers(0, 7, size=int(rng.integers(1, 9)))
+            score = rng.integers(-2, 3, size=int(deg.sum())) / 2.0
+            score[rng.random(score.size) < 0.3] = -0.0
+            cases.append((score, deg))
+        for score, deg in cases:
+            row = np.repeat(np.arange(deg.size), deg)
+            targets = np.concatenate([np.sort(rng.choice(50, size=d, replace=False)) for d in deg])
+            want = similar_order_lexsort(targets.astype(np.int64), score, row)
+            assert R._order_rows(score, deg).tobytes() == want.tobytes()
 
 
 class TestRankByDiversity:
