@@ -150,10 +150,7 @@ class SubmodularFn:
 # pairs in row-major order, which for one instance is the candidate id.
 # ``gains(idx)`` is the marginal gain of the candidates idx: a slice for
 # one instance, or a (B, r) array, r candidates in each instance of a
-# stack. ``add(v)`` adds candidate v, an int or one per instance. A kind
-# whose gain costs O(1) per candidate sets ``scores_slots``: its
-# ``slot_gains()`` is the (B, w) gain of every slot, and ``gains(idx)``
-# indexes it.
+# stack. ``add(v)`` adds candidate v, an int or one per instance.
 #
 # A stack may pad its instances to a common width w, unless its kind
 # cannot mix counts: instance i's real candidates are its first
@@ -184,7 +181,6 @@ class _GainState:
     # regroup numpy's pairwise sum and change the bits, so a stack of
     # that kind holds one candidate count and no pads.
     mixes_counts = True
-    scores_slots = False
     _per_instance: tuple[str, ...] = ()  # the arrays keep() cuts
     floor: np.ndarray | None = None  # see _pad_floor
 
@@ -254,7 +250,6 @@ class _FeatureSqrtState(_GainState):
 class _GraphCutState(_GainState):
     # f(X) = lam * sum_{v in V} sum_{x in X} K[x,v] - sum_{x,y in X} K[x,y]
     # with the penalty over ordered pairs including the diagonal
-    scores_slots = True
     _per_instance = ("lam_rows", "diag", "cross")
 
     def __init__(self, kernel: np.ndarray, lam: float, counts=None) -> None:
@@ -271,13 +266,10 @@ class _GraphCutState(_GainState):
             c = counts[lo]
             self.lam_rows[lo:hi, :c] = lam * kernel[lo:hi, :c, :c].sum(axis=-1)
 
-    def slot_gains(self) -> np.ndarray:
-        return self.lam_rows - 2.0 * self.cross - self.diag
-
     def gains(self, idx) -> np.ndarray:
         # O(1) per candidate, so taking every gain and indexing the
         # result costs less than indexing three arrays
-        return self.slot_gains().ravel()[idx]
+        return (self.lam_rows - 2.0 * self.cross - self.diag).ravel()[idx]
 
     def add(self, v) -> None:
         self.cross += self.k[v]
@@ -389,29 +381,17 @@ def _rank_similar(
     base = int(offsets[0])
     targets = g.targets[base : offsets[-1]]
     deg = np.diff(offsets)
-    score = np.zeros(targets.size)
+    out = np.empty_like(targets)
     rows = _by_count(deg)
     for batch in _batches(deg[rows], deg[rows] * x.shape[1], mixes_counts=False):
         blk = rows[batch]
         idx = (offsets[blk] - base)[:, None] + np.arange(deg[blk[0]])
-        score[idx] = similarity_row(x[targets[idx]], x[lo + blk], sim, model)
-    return targets[_order_rows(score, deg)]
-
-
-def _order_rows(score: np.ndarray, deg: np.ndarray) -> np.ndarray:
-    """The order of ``np.lexsort((targets, -score, row))`` on CSR entries.
-
-    Within a row: descending score, then ascending node id. A stable
-    argsort of -score keeps equal scores in CSR order, which is ascending
-    id, and ranks every entry; the keys row * size + rank are distinct,
-    so a plain np.sort orders them by row, then rank.
-    """
-    size = score.size
-    by_score = np.argsort(-score, kind="stable")
-    rank = np.empty(size, dtype=np.int64)
-    rank[by_score] = np.arange(size)
-    row = np.repeat(np.arange(deg.size), deg)
-    return by_score[np.sort(row * size + rank) % size]
+        score = similarity_row(x[targets[idx]], x[lo + blk], sim, model)
+        # within a row: descending score, then ascending node id, since a
+        # stable sort keeps equal scores in CSR order
+        by_score = np.argsort(-score, axis=1, kind="stable")
+        out[idx] = targets[np.take_along_axis(idx, by_score, axis=1)]
+    return out
 
 
 def _check_nonnegative(fn_kind: str, x: np.ndarray) -> None:
@@ -435,11 +415,11 @@ def _exact_greedy(
     last among them, then pads up to w; the ego is the initial set. Each
     step takes the fresh gain of every candidate not yet taken, so this
     is naive greedy. Instance i takes counts[i] - 1 steps, so step s runs
-    on the prefix of instances with counts - 1 > s. Candidates not taken
-    stay in ascending order, pads after the real ones, so ``argmax``
-    picks the lowest node id among equal gains. Returns (B, w - 1) local
-    indices in pick order; row i's first counts[i] - 1 are its order and
-    the rest are 0.
+    on the prefix of instances with counts - 1 > s. ``left`` keeps the
+    candidates not taken in ascending order, pads after the real ones,
+    so ``argmax`` picks the lowest node id among equal gains. Returns
+    (B, w - 1) local indices in pick order; row i's first counts[i] - 1
+    are its order and the rest are 0.
     """
     b, w = data.shape[:2]
     if counts is None:
@@ -447,20 +427,12 @@ def _exact_greedy(
     first = np.arange(b) * w  # flat index of each instance's candidate 0
     state = _STATES[fn_kind](data, lam, counts)
     state.add(first + counts - 1)
-    # n: the live instances, those with counts - 1 > step, a prefix
-    live = np.searchsorted(-counts, -np.arange(1, w)).tolist()
-    greedy = _greedy_slots if state.scores_slots else _greedy_left
-    return greedy(state, first, counts, live)
-
-
-def _greedy_left(state, first, counts, live) -> np.ndarray:
-    """_exact_greedy's steps over ``left``, each instance's candidates not
-    yet taken: only their gains are computed."""
-    pos = np.arange(len(live))
+    pos = np.arange(w - 1)
     left = first[:, None] + pos + (pos >= counts[:, None] - 1)  # all but the ego
-    rows = np.arange(counts.size)
-    order = np.repeat(first[:, None], len(live), axis=1)
-    for step, n in enumerate(live):
+    rows = np.arange(b)
+    order = np.repeat(first[:, None], w - 1, axis=1)
+    # n: the live instances, those with counts - 1 > step, a prefix
+    for step, n in enumerate(np.searchsorted(-counts, -np.arange(1, w)).tolist()):
         if n < rows.size:
             left, rows = left[:n], rows[:n]
             state.keep(n)
@@ -468,28 +440,9 @@ def _greedy_left(state, first, counts, live) -> np.ndarray:
         order[:n, step] = v = left[rows, pick]
         state.add(v)
         # drop each instance's pick, keeping the rest in order
-        shift = pos[: len(live) - 1 - step] >= pick[:, None]
+        shift = pos[: w - 2 - step] >= pick[:, None]
         left = np.where(shift, left[:, 1:], left[:, :-1])
     return order - first[:, None]
-
-
-def _greedy_slots(state, first, counts, live) -> np.ndarray:
-    """_exact_greedy's steps over every slot: each step scores all w
-    slots and adds ``taken``, -inf on the ego, the pads and every pick so
-    far, so only the candidates not yet taken can win."""
-    taken = np.where(np.arange(len(live) + 1) < counts[:, None] - 1, 0.0, -np.inf)
-    rows = np.arange(counts.size)
-    order = np.zeros((counts.size, len(live)), dtype=np.int64)
-    for step, n in enumerate(live):
-        if n < rows.size:
-            taken, rows = taken[:n], rows[:n]
-            state.keep(n)
-        gains = state.slot_gains()
-        gains += taken
-        order[:n, step] = pick = gains.argmax(axis=1)
-        taken[rows, pick] = -np.inf
-        state.add(first[:n] + pick)
-    return order
 
 
 def _batch_data(x, cand, counts, sim, fn_kind, model) -> np.ndarray:

@@ -400,17 +400,18 @@ def tie_graph_and_features(seed):
 
 
 class TestSimilarOrderTies:
-    """_order_rows gives np.lexsort((targets, -score, row))'s order."""
+    """rank_by_similarity gives np.lexsort((targets, -score, row))'s order."""
 
     @pytest.mark.parametrize("sim", ["cosine", "neg_euclidean"])
-    def test_rank_similar_matches_lexsort(self, monkeypatch, sim):
+    def test_rank_similar_matches_lexsort(self, sim):
         g, x = tie_graph_and_features(33)
-        seen = []
-        real = R._order_rows
-        monkeypatch.setattr(R, "_order_rows", lambda score, deg: seen.append(score) or real(score, deg))
+        deg = g.degrees()
+        row = np.repeat(np.arange(g.n), deg)
+        # a row scored alone has the bits of the batched call
+        score = np.concatenate(
+            [S.similarity_row(x[g.neighbors(u)], x[u], sim) for u in range(g.n) if deg[u]]
+        )
         rt = R.rank_by_similarity(g, x, sim=sim)
-        (score,) = seen
-        row = np.repeat(np.arange(g.n), g.degrees())
         want = g.targets[similar_order_lexsort(g.targets, score, row)]
         assert rt.ranked_ids.tobytes() == want.tobytes()
         # the data ties inside rows, across rows, and at 0.0
@@ -419,19 +420,27 @@ class TestSimilarOrderTies:
         assert np.unique(pairs[:, 1]).size < pairs.shape[0]
         assert np.count_nonzero(score == 0.0) > 1
 
-    def test_signed_zeros_and_fuzz(self):
+    def test_signed_zeros_nan_and_fuzz(self, monkeypatch):
+        """Scores read from a table: ties, 0.0 beside -0.0, and NaN."""
         rng = np.random.default_rng(34)
-        cases = [(np.array([0.0, -0.0, 0.5, -0.0, 0.0, 0.5, -0.0]), np.array([4, 0, 3]))]
-        for _ in range(200):
-            deg = rng.integers(0, 7, size=int(rng.integers(1, 9)))
-            score = rng.integers(-2, 3, size=int(deg.sum())) / 2.0
-            score[rng.random(score.size) < 0.3] = -0.0
-            cases.append((score, deg))
-        for score, deg in cases:
-            row = np.repeat(np.arange(deg.size), deg)
-            targets = np.concatenate([np.sort(rng.choice(50, size=d, replace=False)) for d in deg])
-            want = similar_order_lexsort(targets.astype(np.int64), score, row)
-            assert R._order_rows(score, deg).tobytes() == want.tobytes()
+        n = 40
+        x = np.arange(n, dtype=np.float64)[:, None]  # a node's feature is its id
+        table = np.zeros((n, n))
+
+        def scores(xs, x_t, sim, model):
+            return table[x_t.astype(np.int64), xs[..., 0].astype(np.int64)]
+
+        monkeypatch.setattr(R, "similarity_row", scores)
+        for _ in range(60):
+            table[:] = rng.integers(-2, 3, size=(n, n)) / 2.0
+            table[rng.random((n, n)) < 0.3] = -0.0
+            table[rng.random((n, n)) < 0.05] = np.nan
+            m = int(rng.integers(0, 150))
+            g = G.from_edges(n, rng.integers(0, n, size=m), rng.integers(0, n, size=m))
+            row = np.repeat(np.arange(n), g.degrees())
+            want = g.targets[similar_order_lexsort(g.targets, table[row, g.targets], row)]
+            rt = R.rank_by_similarity(g, x, sim="cosine")
+            assert rt.ranked_ids.tobytes() == want.tobytes()
 
 
 class TestRankByDiversity:
@@ -750,6 +759,21 @@ class TestLockstepBatches:
             assert len(calls) < per_count / 4
         else:
             assert len(calls) == per_count
+
+    def test_nan_gains_rank_each_neighbor_once(self):
+        """Features near 1e155 overflow neg_euclidean's squared norms, so
+        the kernel and graph cut's gains hold NaN; argmax takes the first
+        NaN among the candidates left, and no row repeats an id."""
+        rng = np.random.default_rng(35)
+        n = 30
+        g = G.from_edges(n, rng.integers(0, n, size=120), rng.integers(0, n, size=120))
+        x = rng.normal(size=(n, 3)) * 1e155
+        with np.errstate(all="ignore"):
+            assert np.isnan(S.pairwise_kernel(x[:4], "neg_euclidean")).any()
+            rt = R.rank_by_diversity(g, x, sim="neg_euclidean", fn_kind="graph_cut")
+        for u in range(n):
+            ids, _ = rt.row(u)
+            assert np.sort(ids).tolist() == g.neighbors(u).tolist()
 
 
 # sha256 of the saved AGSR file of each table ranked on
