@@ -9,6 +9,7 @@ generators to workers, epochs, and batches.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,114 @@ def rng_for(seed: int, *stream: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
     return np.random.default_rng(ss)
+
+
+# numpy's SeedSequence mixing constants (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+def _words(value: int) -> list[int]:
+    """The uint32 words of a nonnegative int, least significant first."""
+    value = int(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hashmix(value, const: int, mult: int):
+    """SeedSequence's hashmix; returns the hashed words and the next constant.
+
+    ``generate_state`` hashes each output word the same way, with its own
+    constants.
+    """
+    value = value ^ np.uint32(const)
+    const = const * mult & _MASK32
+    value = value * np.uint32(const)
+    return value ^ (value >> np.uint32(_XSHIFT)), const
+
+
+def _mix(x, y):
+    out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return out ^ (out >> np.uint32(_XSHIFT))
+
+
+def _seed_states(seed: int, stream: tuple[int, ...], keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed, stream + (k,)).generate_state(4, uint64)`` per key.
+
+    Keys are below 2**32, so each is the last entropy word. The mixing
+    runs once on the words before it, on (1,) uint32 arrays, and then
+    once more, vectorized, on the key words.
+    """
+    run = _words(seed)
+    run += [0] * (_POOL_SIZE - len(run))  # a spawn key is never empty here
+    words = run + [w for s in stream for w in _words(s)]
+    entropy = [np.array([w], dtype=np.uint32) for w in words]
+    const = _INIT_A
+    pool = []
+    for w in entropy[:_POOL_SIZE]:
+        h, const = _hashmix(w, const, _MULT_A)
+        pool.append(h)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                h, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], h)
+    for w in entropy[_POOL_SIZE:] + [keys.astype(np.uint32)]:
+        for dst in range(_POOL_SIZE):
+            h, const = _hashmix(w, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], h)
+    # generate_state(4, uint64): eight uint32 words cycling the pool,
+    # paired little-endian into uint64
+    state = np.empty((keys.size, 2 * _POOL_SIZE), dtype=np.uint32)
+    const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        state[:, i], const = _hashmix(pool[i % _POOL_SIZE], const, _MULT_B)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands PCG64 one precomputed state row."""
+
+    __slots__ = ("_row",)
+
+    def __init__(self, row: np.ndarray) -> None:
+        self._row = row
+
+    def generate_state(self, n_words, dtype=np.uint64):
+        return self._row
+
+
+def rngs_for(seed: int, *stream: int, count: int) -> Iterator[np.random.Generator]:
+    """An iterator over ``rng_for(seed, *stream, i)`` for i in range(count).
+
+    Every generator's seeding words come from one vectorized pass of
+    SeedSequence's mixing; PCG64 seeds itself from them as it would from
+    the SeedSequence, so each generator's draws are bit-identical to
+    ``rng_for``'s. Generators are built one at a time, so memory holds
+    only the 32-byte state row of each key. Raises RuntimeError if this
+    numpy's SeedSequence hashes differently.
+    """
+    if not 0 <= count <= _MASK32 + 1:
+        raise ValueError("count must lie in [0, 2**32]")
+    stream = tuple(int(s) for s in stream)
+    states = _seed_states(seed, stream, np.arange(count))
+    if count:
+        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=stream + (0,))
+        if not np.array_equal(states[0], ss.generate_state(4, np.uint64)):
+            raise RuntimeError("numpy's SeedSequence no longer hashes as rngs_for assumes")
+    return (np.random.Generator(np.random.PCG64(_StateWords(row))) for row in states)
 
 
 def sample_frontier(

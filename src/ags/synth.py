@@ -25,7 +25,7 @@ from .ranking import (
     _check_nonnegative,
     _kernel_or_features,
 )
-from .sampling import rng_for
+from .sampling import rngs_for
 from .similarity import SIM_KINDS, similarity_row
 
 # spawn_key namespace for per-node generator streams; nodes are wired
@@ -52,6 +52,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        s = self.seed
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {s!r}")
         t = self.target_hn
         if isinstance(t, (list, tuple, np.ndarray)):
             if len(t) != 2:
@@ -81,20 +84,30 @@ def stochastic_round(value: float, rng: np.random.Generator) -> int:
     value = float(value)
     if value < 0.0:
         raise ValueError("cannot round a negative count")
+    return _round_at(value, rng.random())
+
+
+def _round_at(value: float, draw: float) -> int:
+    """floor(value), plus 1 when the uniform ``draw`` falls below the fraction."""
     base = math.floor(value)
-    return int(base) + int(rng.random() < value - base)
+    return base + (draw < value - base)
 
 
-def _draw_partners(pool, count, rng, notes, kind):
+def _draw_partners(size, count, rng, notes, kind):
+    """Distinct indices into a pool of ``size`` partners, ``count`` wanted.
+
+    ``rng.choice`` over a pool array picks the same slots as over its
+    length, so callers map the indices through the pool themselves.
+    """
     if count <= 0:
         return _EMPTY
-    if pool.size == 0:
+    if size == 0:
         notes[f"skipped_{kind}"] += count
         return _EMPTY
-    if count <= pool.size:
-        return rng.choice(pool, size=count, replace=False)
+    if count <= size:
+        return rng.choice(size, size=count, replace=False)
     # pool smaller than the quota: draw with replacement, then dedupe
-    picks = np.unique(rng.choice(pool, size=count, replace=True))
+    picks = np.unique(rng.choice(size, size=count, replace=True))
     notes[f"deduped_{kind}"] += count - picks.size
     return picks
 
@@ -110,6 +123,11 @@ def generate_synthetic(
     replacement.  Symmetrizing doubles the expected degree back to d.
     Infeasible quotas (singleton class, no other classes) raise a
     SynthWarning and are skipped.
+
+    Node u reads its own stream ``rng_for(base, _NODE_STREAM, u)``; the
+    streams are seeded together by ``rngs_for``. Same-label partners are
+    drawn as indices into u's class pool with u's slot skipped, which
+    picks what a draw from the pool without u would.
     """
     y = np.asarray(y, dtype=np.int64)
     if y.ndim != 1 or y.shape[0] < 2:
@@ -122,28 +140,29 @@ def generate_synthetic(
     labels = np.unique(y)
     same_pool = {int(c): np.flatnonzero(y == c) for c in labels}
     cross_pool = {int(c): np.flatnonzero(y != c) for c in labels}
+    slot = np.empty(n, dtype=np.int64)  # u's position in its class pool
+    for pool in same_pool.values():
+        slot[pool] = np.arange(pool.size)
     half = float(spec.avg_degree) / 2.0
     notes: Counter[str] = Counter()
-    srcs: list[np.ndarray] = []
+    counts = np.zeros(n, dtype=np.int64)
     dsts: list[np.ndarray] = []
-    for u in range(n):
-        r = rng_for(base, _NODE_STREAM, u)
-        t = lo + (hi - lo) * r.random()
-        n_same = stochastic_round(t * half, r)
-        n_cross = stochastic_round((1.0 - t) * half, r)
-        pool = same_pool[int(y[u])]
-        pool = pool[pool != u]
-        for got in (
-            _draw_partners(pool, n_same, r, notes, "same"),
-            _draw_partners(cross_pool[int(y[u])], n_cross, r, notes, "cross"),
-        ):
-            if got.size:
-                srcs.append(np.full(got.size, u, dtype=np.int64))
-                dsts.append(got)
+    nodes = zip(y.tolist(), slot.tolist(), rngs_for(base, _NODE_STREAM, count=n))
+    for u, (c, s, r) in enumerate(nodes):
+        d_t, d_same, d_cross = r.random(3).tolist()
+        t = lo + (hi - lo) * d_t
+        n_same = _round_at(t * half, d_same)
+        n_cross = _round_at((1.0 - t) * half, d_cross)
+        same, cross = same_pool[c], cross_pool[c]
+        j = _draw_partners(same.size - 1, n_same, r, notes, "same")
+        k = _draw_partners(cross.size, n_cross, r, notes, "cross")
+        if j.size + k.size:
+            counts[u] = j.size + k.size
+            dsts += (same[j + (j >= s)], cross[k])
     if notes:
         detail = ", ".join(f"{k}={v}" for k, v in sorted(notes.items()))
         warnings.warn(f"edge quotas adjusted: {detail}", SynthWarning, stacklevel=2)
-    src = np.concatenate(srcs) if srcs else _EMPTY
+    src = np.repeat(np.arange(n, dtype=np.int64), counts)
     dst = np.concatenate(dsts) if dsts else _EMPTY
     return from_edges(n, src, dst, directed=False)
 

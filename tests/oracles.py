@@ -205,9 +205,40 @@ def from_edges_stable(n, sources, targets, directed=False):
     return offsets, dst.astype(np.int64)
 
 
+def validate(g):
+    """Raise ValueError unless g is a well-formed CSR graph.
+
+    The message names the first row that does not strictly increase
+    and, when undirected, the first edge in CSR order whose reverse
+    is missing.
+    """
+    if g.offsets.shape[0] != g.n + 1:
+        raise ValueError("offsets length must be n+1")
+    if g.offsets[0] != 0 or g.offsets[-1] != g.m:
+        raise ValueError("offsets must start at 0 and end at m")
+    if np.any(np.diff(g.offsets) < 0):
+        raise ValueError("offsets must be nondecreasing")
+    if g.m:
+        if g.targets.min() < 0 or g.targets.max() >= g.n:
+            raise ValueError("target id out of range")
+    src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees())
+    dst = g.targets.astype(np.int64, copy=False)
+    bad = np.flatnonzero((np.diff(dst) <= 0) & (src[1:] == src[:-1]))
+    if bad.size:
+        raise ValueError(f"row {src[bad[0] + 1]} not strictly increasing")
+    if not g.directed and g.m:
+        # rows are sorted, so the keys src * n + dst ascend
+        keys = src * g.n + dst
+        back = dst * g.n + src
+        at = np.minimum(np.searchsorted(keys, back), g.m - 1)
+        lone = np.flatnonzero(keys[at] != back)
+        if lone.size:
+            raise ValueError(f"missing reverse edge for ({src[lone[0]]},{dst[lone[0]]})")
+
+
 def validate_loop(g):
-    """Graph.validate's checks, one row at a time, then a Python set of
-    the edges, searched for reverses in sorted (CSR) order."""
+    """validate's checks, one row at a time, then a Python set of the
+    edges, searched for reverses in sorted (CSR) order."""
     if g.offsets.shape[0] != g.n + 1:
         raise ValueError("offsets length must be n+1")
     if g.offsets[0] != 0 or g.offsets[-1] != g.m:
@@ -225,6 +256,65 @@ def validate_loop(g):
         for u, v in sorted(fwd):
             if (v, u) not in fwd:
                 raise ValueError(f"missing reverse edge for ({u},{v})")
+
+
+def generate_synthetic_loop(x, y, spec, rng=None):
+    """generate_synthetic as one Python iteration per node: a fresh
+    ``rng_for`` generator, three scalar draws, a pool copy without u and
+    one ``np.full`` of sources per draw."""
+    from collections import Counter
+    import warnings
+
+    from ags.graph import from_edges
+    from ags.sampling import rng_for
+    from ags.synth import _NODE_STREAM, SynthWarning, stochastic_round
+
+    def draw(pool, count, r, notes, kind):
+        if count <= 0:
+            return np.zeros(0, dtype=np.int64)
+        if pool.size == 0:
+            notes[f"skipped_{kind}"] += count
+            return np.zeros(0, dtype=np.int64)
+        if count <= pool.size:
+            return r.choice(pool, size=count, replace=False)
+        picks = np.unique(r.choice(pool, size=count, replace=True))
+        notes[f"deduped_{kind}"] += count - picks.size
+        return picks
+
+    y = np.asarray(y, dtype=np.int64)
+    if y.ndim != 1 or y.shape[0] < 2:
+        raise ValueError("labels must be a vector over at least two nodes")
+    n = y.shape[0]
+    if x is not None and np.asarray(x).shape[0] != n:
+        raise ValueError("features and labels disagree on node count")
+    lo, hi = spec.bounds()
+    base = spec.seed if rng is None else int(rng.integers(0, 2**63))
+    labels = np.unique(y)
+    same_pool = {int(c): np.flatnonzero(y == c) for c in labels}
+    cross_pool = {int(c): np.flatnonzero(y != c) for c in labels}
+    half = float(spec.avg_degree) / 2.0
+    notes = Counter()
+    srcs, dsts = [], []
+    for u in range(n):
+        r = rng_for(base, _NODE_STREAM, u)
+        t = lo + (hi - lo) * r.random()
+        n_same = stochastic_round(t * half, r)
+        n_cross = stochastic_round((1.0 - t) * half, r)
+        pool = same_pool[int(y[u])]
+        pool = pool[pool != u]
+        for got in (
+            draw(pool, n_same, r, notes, "same"),
+            draw(cross_pool[int(y[u])], n_cross, r, notes, "cross"),
+        ):
+            if got.size:
+                srcs.append(np.full(got.size, u, dtype=np.int64))
+                dsts.append(got)
+    if notes:
+        detail = ", ".join(f"{k}={v}" for k, v in sorted(notes.items()))
+        warnings.warn(f"edge quotas adjusted: {detail}", SynthWarning, stacklevel=2)
+    src = np.concatenate(srcs) if srcs else np.zeros(0, dtype=np.int64)
+    dst = np.concatenate(dsts) if dsts else np.zeros(0, dtype=np.int64)
+    return from_edges(n, src, dst, directed=False)
 
 
 def similar_order_lexsort(targets, score, row):

@@ -494,6 +494,12 @@ class TestSynthEdgeList:
                          "--seed", seed, "--out", str(out)]) == 0
         assert out.read_text() == edge_list_text_loop(load_edge_list(str(out)))
 
+    def test_negative_seed_exits_1(self, workdir, tmp_path, capsys):
+        code = cli.main(["synth", *data_flags(workdir), "--hn", "0.3", "--degree", "8",
+                         "--seed", "-1", "--out", str(tmp_path / "g.edges")])
+        assert code == 1
+        assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+
 
 class TestSampleCommands:
     def test_dual_channel_schema(self, workdir):

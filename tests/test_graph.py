@@ -12,6 +12,7 @@ from oracles import (
     load_features_loop,
     load_id_file_loop,
     load_labels_loop,
+    validate,
     validate_loop,
 )
 
@@ -57,13 +58,13 @@ class TestFromEdges:
     def test_isolated_nodes_allowed(self):
         g = G.from_edges(5, [0], [1])
         assert g.degree(4) == 0
-        g.validate()
+        validate(g)
 
     def test_csr_validity_fuzz(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
             g = fuzz_graph(rng, directed=bool(rng.integers(2)))
-            g.validate()
+            validate(g)
 
     def test_symmetrize_idempotent(self):
         rng = np.random.default_rng(7)
@@ -112,7 +113,7 @@ class TestValidate:
     def test_message_matches_loop(self, name):
         g = BAD_GRAPHS[name]
         want = _error(validate_loop, g)
-        assert want is not None and _error(G.Graph.validate, g) == want
+        assert want is not None and _error(validate, g) == want
 
     def test_fuzz_edges_dropped(self):
         # an undirected graph with one to three stored directions removed
@@ -120,7 +121,7 @@ class TestValidate:
         rng = np.random.default_rng(11)
         for _ in range(40):
             g = fuzz_graph(rng, p=0.3)
-            g.validate()
+            validate(g)
             if g.m < 2:
                 continue
             keep = np.ones(g.m, dtype=bool)
@@ -128,7 +129,7 @@ class TestValidate:
             src = np.repeat(np.arange(g.n), g.degrees())[keep]
             offsets = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=g.n))])
             bad = G.Graph(n=g.n, offsets=offsets, targets=g.targets[keep], directed=False)
-            assert _error(G.Graph.validate, bad) == _error(validate_loop, bad)
+            assert _error(validate, bad) == _error(validate_loop, bad)
 
 
 def _edge_cases(rng):

@@ -40,6 +40,42 @@ class TestRngFor:
         assert not np.array_equal(a, b)
 
 
+class TestRngsFor:
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**200]
+
+    @pytest.mark.parametrize("stream", [(), (9,), (21, 3)])
+    @pytest.mark.parametrize("seed", SEEDS, ids=["0", "1", "2^32-1", "2^32", "2^63-1", "2^200"])
+    def test_states_equal_rng_for(self, seed, stream):
+        count = 5000
+        got = SA.rngs_for(seed, *stream, count=count)
+        for i, r in enumerate(got):
+            assert r.bit_generator.state == SA.rng_for(seed, *stream, i).bit_generator.state, i
+        assert i == count - 1
+
+    def test_draws_equal_rng_for(self):
+        for i, r in enumerate(SA.rngs_for(3, 9, count=50)):
+            want = SA.rng_for(3, 9, i)
+            assert r.random(3).tobytes() == want.random(3).tobytes()
+            assert r.choice(40, size=7, replace=False).tobytes() == want.choice(
+                40, size=7, replace=False
+            ).tobytes()
+
+    def test_empty(self):
+        assert list(SA.rngs_for(5, 1, count=0)) == []
+
+    @pytest.mark.parametrize("seed, stream", [(-1, ()), (3, (-2,))])
+    def test_negative_rejected(self, seed, stream):
+        with pytest.raises(ValueError, match="non-negative"):
+            SA.rng_for(seed, *stream, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            SA.rngs_for(seed, *stream, count=4)
+
+    def test_other_hash_raises(self, monkeypatch):
+        monkeypatch.setattr(SA, "_MULT_A", SA._MULT_A ^ 2)
+        with pytest.raises(RuntimeError, match="SeedSequence"):
+            SA.rngs_for(1, 9, count=3)
+
+
 class TestSampleNeighbors:
     def test_degree_one(self):
         g, rt = star_table(1)

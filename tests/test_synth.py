@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ import ags.metrics as M
 import ags.ranking as R
 import ags.similarity as S
 import ags.synth as SY
-from oracles import lemma_gain_masses
+from ags.sampling import rng_for
+from oracles import generate_synthetic_loop, lemma_gain_masses
 
 
 def labels(n, c, seed):
@@ -42,6 +45,15 @@ class TestSynthSpec:
     def test_wrong_range_arity(self):
         with pytest.raises(ValueError, match="lo, hi"):
             SY.SynthSpec((0.1, 0.2, 0.3), 8.0)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", -1, True, None, np.float64(2.0), np.int64(-2)])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer, got"):
+            SY.SynthSpec(0.3, 8.0, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**200, np.int64(5), np.uint64(2**63)])
+    def test_integer_seeds_accepted(self, seed):
+        assert SY.SynthSpec(0.3, 8.0, seed=seed).seed == seed
 
 
 class TestStochasticRound:
@@ -124,6 +136,75 @@ class TestGenerateSynthetic:
         assert not np.array_equal(a.targets, b.targets)
 
 
+def _bits_and_notes(fn, *args, **kwargs):
+    """CSR bytes of ``fn(*args, **kwargs)`` and the SynthWarning texts."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = fn(*args, **kwargs)
+    notes = [str(w.message) for w in caught if issubclass(w.category, SY.SynthWarning)]
+    return g.offsets.tobytes(), g.targets.tobytes(), g.directed, notes
+
+
+# (labels, degree) inputs; the small ones make every skipped_* and
+# deduped_* note fire
+LOOP_CASES = {
+    "four-classes": (labels(150, 4, 40), 8.0),
+    "two-classes-d42": (labels(120, 2, 41), 42.0),
+    "d4": (labels(90, 3, 42), 4.0),
+    "singleton-class": (np.array([0, 0, 0, 0, 1]), 4.0),
+    "singleton-dense": (np.array([0, 1, 1, 2, 2, 2, 1, 2]), 20.0),
+    "single-class": (np.zeros(30, dtype=np.int64), 6.0),
+}
+# their uint32 word counts: 1, 1, 1, 2, 2 and 7
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**200]
+
+
+class TestMatchesLoop:
+    """The library's graphs equal the per-node loop's, byte for byte."""
+
+    @pytest.mark.parametrize("target", [0.0, 0.3, 1.0, (0.1, 0.7), (0.0, 1.0)])
+    @pytest.mark.parametrize("case", sorted(LOOP_CASES))
+    def test_targets_and_seeds(self, case, target):
+        y, degree = LOOP_CASES[case]
+        for seed in SEEDS:
+            spec = SY.SynthSpec(target, degree, seed=seed)
+            assert _bits_and_notes(SY.generate_synthetic, None, y, spec) == _bits_and_notes(
+                generate_synthetic_loop, None, y, spec
+            )
+
+    def test_every_note_fires(self):
+        notes = set()
+        for y, degree in LOOP_CASES.values():
+            for target in (0.0, 1.0):
+                spec = SY.SynthSpec(target, degree, seed=1)
+                for text in _bits_and_notes(SY.generate_synthetic, None, y, spec)[3]:
+                    notes |= {kv.split("=")[0] for kv in text.split(": ")[1].split(", ")}
+        assert notes == {"skipped_same", "skipped_cross", "deduped_same", "deduped_cross"}
+
+    @pytest.mark.parametrize("degree", [4.0, 9.0, 17.0, 42.0])
+    def test_degrees_with_features(self, degree):
+        y = labels(200, 5, 43)
+        x = onehot_noise(y, 5, 43)
+        spec = SY.SynthSpec((0.05, 0.5), degree, seed=44)
+        assert _bits_and_notes(SY.generate_synthetic, x, y, spec) == _bits_and_notes(
+            generate_synthetic_loop, x, y, spec
+        )
+
+    def test_rng_path(self):
+        y, degree = LOOP_CASES["four-classes"]
+        spec = SY.SynthSpec(0.4, degree, seed=0)
+        for s in range(3):
+            got = _bits_and_notes(SY.generate_synthetic, None, y, spec, rng=np.random.default_rng(s))
+            want = _bits_and_notes(generate_synthetic_loop, None, y, spec, rng=np.random.default_rng(s))
+            assert got == want
+
+    def test_generate_mixed(self):
+        y = labels(300, 7, 45)
+        got = _bits_and_notes(SY.generate_mixed, None, y, (0.05, 0.5), 20.0, seed=46)
+        spec = SY.SynthSpec((0.05, 0.5), 20.0, seed=46)
+        assert got == _bits_and_notes(generate_synthetic_loop, None, y, spec)
+
+
 class TestGenerateMixed:
     def test_point_range_matches_scalar(self):
         y = labels(400, 4, 11)
@@ -149,7 +230,7 @@ class TestGenerateMixed:
         seed = 16
         g = SY.generate_mixed(None, y, (0.0, 1.0), d, seed=seed)
         targets = np.array(
-            [SY.rng_for(seed, SY._NODE_STREAM, u).random() for u in range(g.n)]
+            [rng_for(seed, SY._NODE_STREAM, u).random() for u in range(g.n)]
         )
         loc = M.local_homophily_values(g, y)
         ok = ~np.isnan(loc)
