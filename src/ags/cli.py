@@ -213,11 +213,10 @@ def cmd_rank(ns, ctx) -> dict:
 
     sim = _SIM_MAP[ns.sim]
     if ns.mode == "similar":
-        rt = ranking.rank_by_similarity(g, x, sim=sim, pmf=pmf, model=model, workers=ns.workers)
+        rt = ranking.rank_by_similarity(g, x, sim=sim, pmf=pmf, model=model)
     else:
         rt = ranking.rank_by_diversity(
-            g, x, sim=sim, fn_kind=_FN_MAP[ns.fn], pmf=pmf, model=model,
-            lam=ns.lam, workers=ns.workers,
+            g, x, sim=sim, fn_kind=_FN_MAP[ns.fn], pmf=pmf, model=model, lam=ns.lam
         )
     save_rank_table(rt, ns.out)
     return {
@@ -239,11 +238,9 @@ def cmd_sample_node(ns, ctx) -> dict:
     seeds = _load_id_file(ctx.digest(ns.seeds))
 
     subs = sampling.node_sample_khop(
-        g, tables if len(tables) > 1 else tables[0], seeds,
-        ns.fanouts, sampling.rng_for(ns.seed, _STREAM_SAMPLE), replace=ns.replace,
+        g, tables, seeds, ns.fanouts, sampling.rng_for(ns.seed, _STREAM_SAMPLE),
+        replace=ns.replace,
     )
-    if isinstance(subs, Subgraph):
-        subs = [subs]
     return {
         "command": "sample-node",
         "fanouts": ns.fanouts,
@@ -380,7 +377,7 @@ def cmd_train_demo(ns, ctx) -> dict:
     }
 
 
-def _bench_one_size(n: int, degree: float, workers_list, seed: int) -> dict:
+def _bench_one_size(n: int, degree: float, seed: int) -> dict:
     """Timings for one synthetic size; zero work for an empty graph."""
     row: dict = {"n": n}
     if n == 0:
@@ -425,45 +422,11 @@ def _bench_one_size(n: int, degree: float, workers_list, seed: int) -> dict:
         row["t_learn_s"] = 0.0
         row["t_sample_batch_s"] = 0.0
         row["sample_seeds_per_s"] = 0.0
-
-    for key, rank in (
-        ("similar_workers", ranking.rank_by_similarity),
-        ("diverse_workers", ranking.rank_by_diversity),
-    ):
-        row[key] = _worker_sweep(rank, g, x, workers_list if n > 0 else [])
     return row
 
 
-def _worker_sweep(rank, g, x, workers_list) -> dict:
-    """Wall time of ``rank`` at each worker count, and whether its table
-    matches the first count's."""
-    sweep: dict = {}
-    base_table = None
-    for w in workers_list:
-        t0 = time.perf_counter()
-        rt_w = rank(g, x, workers=w)
-        dt = time.perf_counter() - t0
-        identical = base_table is None or (
-            np.array_equal(rt_w.ranked_ids, base_table.ranked_ids)
-            and np.array_equal(rt_w.probs, base_table.probs)
-        )
-        if base_table is None:
-            base_table = rt_w
-            base_dt = dt
-        sweep[str(w)] = {
-            "t_s": dt,
-            "speedup": base_dt / dt if dt > 0 else 0.0,
-            "identical": identical,
-        }
-    return sweep
-
-
 def cmd_bench(ns, ctx) -> dict:
-    rows = []
-    for i, n in enumerate(ns.sizes):
-        # speedup sweep only on the largest size to keep bench short
-        wl = ns.workers_list if i == len(ns.sizes) - 1 else []
-        rows.append(_bench_one_size(n, ns.degree, wl, ns.seed))
+    rows = [_bench_one_size(n, ns.degree, ns.seed) for n in ns.sizes]
 
     timed = [(r["m"], r["t_rank_similar_s"]) for r in rows if r["m"] > 0]
     slope = None
@@ -540,7 +503,10 @@ def build_parser(environ=None, required=True) -> argparse.ArgumentParser:
     shared.add_argument("--seed", type=int, default=(environ or {}).get("AGS_SEED") or 0)
     shared.add_argument("--config", default=None, help="key=value config file")
     shared.add_argument("--out", default=None)
-    shared.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1)
+    shared.add_argument(
+        "--workers", type=_positive_int, default=1,
+        help="accepted for compatibility; no effect (ranking runs in one process)",
+    )
 
     kernel = _Parser(add_help=False)
     kernel.add_argument("--sim", choices=tuple(_SIM_MAP), default="cosine")
@@ -628,7 +594,6 @@ def build_parser(environ=None, required=True) -> argparse.ArgumentParser:
     pb = sub.add_parser("bench", parents=[shared], help="timing report")
     pb.add_argument("--sizes", type=_csv(int), default="1000,2000,4000")
     pb.add_argument("--degree", type=float, default=20.0)
-    pb.add_argument("--workers-list", type=_csv(int), default="1,2,4")
 
     return p
 

@@ -371,12 +371,6 @@ def _as_tables(tables) -> list[RankTable]:
     return out
 
 
-def _khop(g, tables, seeds, fanouts, rng, replace):
-    arg = tables[0] if len(tables) == 1 else tables
-    subs = node_sample_khop(g, arg, seeds, list(fanouts), rng, replace=replace)
-    return [subs] if isinstance(subs, Subgraph) else list(subs)
-
-
 def predict_proba(
     model: DemoModel,
     g: Graph,
@@ -399,7 +393,7 @@ def predict_proba(
         raise ValueError("empty node set")
     probs = None
     for _ in range(mc_samples):
-        subs = _khop(g, tables, nodes, fanouts, rng, replace)
+        subs = node_sample_khop(g, tables, nodes, fanouts, rng, replace=replace)
         logits = forward_dual(model, subs, x)
         p = _softmax(logits)
         probs = p if probs is None else probs + p
@@ -511,7 +505,7 @@ def train(
         for b0 in range(0, order.size, cfg.batch_size):
             seeds = order[b0 : b0 + cfg.batch_size]
             rng_b = rng_for(cfg.seed, _BATCH_STREAM, epoch, b0)
-            subs = _khop(g, tables, seeds, cfg.fanouts, rng_b, cfg.replace)
+            subs = node_sample_khop(g, tables, seeds, cfg.fanouts, rng_b, replace=cfg.replace)
             logits, cache = forward_dual(model, subs, x, return_cache=True)
             seed_parents = subs[0].parent_ids[subs[0].seeds_local()]
             loss, dlogits = softmax_cross_entropy(logits, y[seed_parents])

@@ -11,17 +11,14 @@ stacked arrays. Similarity rows are scored per degree group: all rows of
 one degree in a few numpy calls. Diversity rows run exact greedy in
 lockstep batches: rows sorted by candidate count, padded to the widest
 row of their batch, one step loop per batch. Its lowest-index tie-break
-is naive greedy's, so a row's bytes do not depend on its batch or the
-number of workers building the table.
+is naive greedy's, so a row's bytes do not depend on its batch.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -373,20 +370,16 @@ def _rank_similar(
     x: np.ndarray,
     sim: str,
     model: SiameseModel | None,
-    lo: int,
-    hi: int,
 ) -> np.ndarray:
-    """Ranked ids of rows lo..hi-1, scored in batches of one degree."""
-    offsets = g.offsets[lo : hi + 1]
-    base = int(offsets[0])
-    targets = g.targets[base : offsets[-1]]
+    """Ranked ids of every row, scored in batches of one degree."""
+    offsets, targets = g.offsets, g.targets
     deg = np.diff(offsets)
     out = np.empty_like(targets)
     rows = _by_count(deg)
     for batch in _batches(deg[rows], deg[rows] * x.shape[1], mixes_counts=False):
         blk = rows[batch]
-        idx = (offsets[blk] - base)[:, None] + np.arange(deg[blk[0]])
-        score = similarity_row(x[targets[idx]], x[lo + blk], sim, model)
+        idx = offsets[blk][:, None] + np.arange(deg[blk[0]])
+        score = similarity_row(x[targets[idx]], x[blk], sim, model)
         # within a row: descending score, then ascending node id, since a
         # stable sort keeps equal scores in CSR order
         by_score = np.argsort(-score, axis=1, kind="stable")
@@ -472,10 +465,8 @@ def _rank_diverse(
     fn_kind: str,
     model: SiameseModel | None,
     lam: float,
-    lo: int,
-    hi: int,
 ) -> np.ndarray:
-    """Ranked ids of rows lo..hi-1, greedily ordered in lockstep batches.
+    """Ranked ids of every row, greedily ordered in lockstep batches.
 
     A row's candidates are its neighbors other than the ego, in id
     order, then the ego, which anchors the selection. A self-loop
@@ -484,18 +475,16 @@ def _rank_diverse(
     descending, then id, into batches of at most BLOCK_ELEMENTS padded
     elements. Each batch runs one greedy step loop.
     """
-    offsets = g.offsets[lo : hi + 1]
-    base = int(offsets[0])
-    targets = g.targets[base : offsets[-1]]
+    offsets, targets = g.offsets, g.targets
     deg = np.diff(offsets)
     row = np.repeat(np.arange(deg.size), deg)
-    loop = targets == lo + row
+    loop = targets == row
     others = targets[~loop]
     k = deg - np.bincount(row[loop], minlength=deg.size)  # non-ego neighbors
     first = np.cumsum(k) - k  # each row's start in ``others``
     has_loop = deg > k
     out = np.empty_like(targets)
-    out[offsets[1:][has_loop] - base - 1] = lo + np.flatnonzero(has_loop)
+    out[offsets[1:][has_loop] - 1] = np.flatnonzero(has_loop)
     ranked = _by_count(k)
     counts = k[ranked] + 1
     # elements per row: (w, f) feature rows, and a (w, w) kernel if any
@@ -504,27 +493,16 @@ def _rank_diverse(
         rows, cb = ranked[batch], counts[batch]
         w = cb[0]
         # each row's other neighbors, then the ego, which also fills the pads
-        cand = np.repeat((lo + rows)[:, None], w, axis=1)
+        cand = np.repeat(rows[:, None], w, axis=1)
         real = np.arange(w) < (cb - 1)[:, None]
         cand[real] = others[(first[rows][:, None] + np.arange(w))[real]]
         order = _exact_greedy(
             fn_kind, _batch_data(x, cand, cb, sim, fn_kind, model), lam, cb
         )
         real = real[:, :-1]  # row i's first c - 1 picks
-        pos = (offsets[rows] - base)[:, None] + np.arange(w - 1)
+        pos = offsets[rows][:, None] + np.arange(w - 1)
         out[pos[real]] = np.take_along_axis(cand, order, axis=1)[real]
     return out
-
-
-def _build_rows(builder, g: Graph, rest: tuple, workers: int) -> np.ndarray:
-    """Ranked ids of every row; ``workers`` > 1 splits rows into chunks."""
-    if workers <= 1 or g.n < 2:
-        return builder(g, *rest, 0, g.n)
-    size = -(-g.n // workers)
-    los = range(0, g.n, size)
-    his = [min(lo + size, g.n) for lo in los]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(partial(builder, g, *rest), los, his)))
 
 
 def _probs_for(g: Graph, spec: PmfSpec) -> np.ndarray:
@@ -552,8 +530,9 @@ def rank_by_similarity(
     """Rank every vertex's neighbors by similarity to that vertex.
 
     Rows are sorted by descending similarity with ascending-id
-    tie-breaks; probabilities come from the rank positions alone. Output
-    is byte-identical for any worker count.
+    tie-breaks; probabilities come from the rank positions alone.
+    ``workers`` is accepted for compatibility and has no effect: the
+    table is built in one process.
     """
     x = _check_node_features(g, x)
     if sim not in SIM_KINDS:
@@ -561,7 +540,7 @@ def rank_by_similarity(
     if sim == "learned" and model is None:
         raise ValueError("learned similarity requires a model")
     spec = pmf or PmfSpec()
-    ranked = _build_rows(_rank_similar, g, (x, sim, model), workers)
+    ranked = _rank_similar(g, x, sim, model)
     return make_rank_table(
         "similar", spec.kind, spec.params(), g.offsets, ranked, _probs_for(g, spec)
     )
@@ -582,6 +561,7 @@ def rank_by_diversity(
     The ego is the initial selection; the candidate universe is its
     neighborhood plus itself, so kernels stay egonet-sized. Kernel-less
     kinds (coverage, feature-based) read the feature rows directly.
+    ``workers`` is accepted for compatibility and has no effect.
     """
     x = _check_node_features(g, x)
     if sim not in SIM_KINDS:
@@ -593,9 +573,7 @@ def rank_by_diversity(
     _check_nonnegative(fn_kind, x)
     _check_lam(lam)
     spec = pmf or PmfSpec()
-    ranked = _build_rows(
-        _rank_diverse, g, (x, sim, fn_kind, model, lam), workers
-    )
+    ranked = _rank_diverse(g, x, sim, fn_kind, model, lam)
     return make_rank_table(
         "diverse", spec.kind, spec.params(), g.offsets, ranked, _probs_for(g, spec)
     )

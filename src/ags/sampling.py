@@ -479,6 +479,8 @@ def disjoint_subgraph_sample(
     if not 0.0 <= residual_edge_frac <= 1.0:
         raise ValueError("invalid fraction: must lie in [0, 1]")
     n_forests = col.forest_count
+    if k < 0:
+        raise ValueError(f"k={k} is negative")
     if k > n_forests:
         raise ValueError(f"k={k} exceeds the {n_forests} non-residual parts")
     weights = np.asarray([w for _, w in col.parts[:-1]], dtype=np.float64)

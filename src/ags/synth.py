@@ -67,6 +67,8 @@ class SynthSpec:
             raise ValueError("homophily target must satisfy 0 <= lo <= hi <= 1")
         if not (float(self.avg_degree) >= 2.0):
             raise ValueError("average degree must be at least 2")
+        if not math.isfinite(self.avg_degree):
+            raise ValueError(f"average degree must be finite, got {self.avg_degree!r}")
 
     def bounds(self) -> tuple[float, float]:
         t = self.target_hn
@@ -107,7 +109,15 @@ def _draw_partners(size, count, rng, notes, kind):
     if count <= size:
         return rng.choice(size, size=count, replace=False)
     # pool smaller than the quota: draw with replacement, then dedupe
-    picks = np.unique(rng.choice(size, size=count, replace=True))
+    try:
+        draws = rng.choice(size, size=count, replace=True)
+    except (OverflowError, ValueError, MemoryError):
+        # numpy cannot take the count as an int64 or hold the draws
+        raise ValueError(
+            f"a quota of {count:.3g} {kind}-label partners cannot be drawn; "
+            "lower the average degree"
+        ) from None
+    picks = np.unique(draws)
     notes[f"deduped_{kind}"] += count - picks.size
     return picks
 

@@ -500,6 +500,17 @@ class TestSynthEdgeList:
         assert code == 1
         assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("degree, message", [
+        ("inf", "average degree must be finite, got inf"),
+        ("1e300", "same-label partners cannot be drawn"),
+    ])
+    def test_undrawable_degree_exits_1(self, workdir, tmp_path, capsys, degree, message):
+        code = cli.main(["synth", *data_flags(workdir), "--degree", degree,
+                         "--out", str(tmp_path / "g.edges")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+
 
 class TestSampleCommands:
     def test_dual_channel_schema(self, workdir):
@@ -569,6 +580,12 @@ class TestSampleCommands:
         assert seen == canonical
         assert report["parts"][-1]["is_residual"]
         assert "sample" in report
+
+    def test_disjoint_negative_k_exits_1(self, workdir, capsys):
+        assert cli.main(["sample", "disjoint", *graph_flags(workdir),
+                         "--table", p(workdir, "sim.agsr"), "--K", "3", "--k", "-1",
+                         "--out", p(workdir, "never3.json")]) == 1
+        assert capsys.readouterr().err == "error: k=-1 is negative\n"
 
 
 class TestTableOfAnotherGraph:
@@ -731,28 +748,14 @@ class TestVerifyAndTrain:
 class TestBench:
     def test_zero_size_row_reports_zero_work(self, workdir):
         out = p(workdir, "bench0.json")
-        assert cli.main(["bench", "--sizes", "0", "--seed", "2",
-                         "--workers-list", "1", "--out", out]) == 0
+        assert cli.main(["bench", "--sizes", "0", "--seed", "2", "--out", out]) == 0
         rows = json.loads(open(out).read())["sizes"]
         assert rows[0]["n"] == 0 and rows[0]["m"] == 0
         assert rows[0]["t_sample_batch_s"] == 0.0
 
-    def test_workers_sweep_identical_and_timed(self, workdir):
-        out = p(workdir, "benchw.json")
-        assert cli.main(["bench", "--sizes", "400", "--degree", "8",
-                         "--seed", "2", "--workers-list", "1,2,4",
-                         "--out", out]) == 0
-        row = json.loads(open(out).read())["sizes"][-1]
-        for mode in ("similar", "diverse"):
-            sweep = row[f"{mode}_workers"]
-            assert set(sweep) == {"1", "2", "4"}
-            assert all(entry["identical"] for entry in sweep.values())
-            assert all(entry["t_s"] >= 0.0 for entry in sweep.values())
-
     def test_similarity_ranking_scales_linearly_in_m(self, workdir):
         out = p(workdir, "benchm.json")
         assert cli.main(["bench", "--sizes", "2000,4000,8000",
-                         "--degree", "16", "--seed", "2",
-                         "--workers-list", "1", "--out", out]) == 0
+                         "--degree", "16", "--seed", "2", "--out", out]) == 0
         slope = json.loads(open(out).read())["slope_similar_vs_m"]
         assert 0.7 <= slope <= 1.3

@@ -453,7 +453,7 @@ def grad_toy(seed, channels, combiner):
         model = D.new_model(3, 4, 3, channels, 2, combiner, rng)
         rt = R.rank_uniform(g)
         seeds = [0, 2, 4]
-        subs = D._khop(g, [rt] * channels, seeds, (2, 2), SA.rng_for(s), False)
+        subs = SA.node_sample_khop(g, [rt] * channels, seeds, (2, 2), SA.rng_for(s))
         logits, cache = D.forward_dual(model, subs, x, return_cache=True)
         if relu_margin(cache[0], cache[3]) > 1e-4:
             labels = y[subs[0].parent_ids[subs[0].seeds_local()]]

@@ -537,30 +537,6 @@ class TestRankByDiversity:
             assert ids.tolist() == expect
 
 
-class TestWorkers:
-    def test_similarity_worker_count_invariant(self):
-        rng = np.random.default_rng(12)
-        src = rng.integers(0, 30, size=80)
-        dst = rng.integers(0, 30, size=80)
-        g = G.from_edges(30, src, dst, directed=False)
-        x = rng.normal(size=(30, 4))
-        one = R.rank_by_similarity(g, x, workers=1)
-        four = R.rank_by_similarity(g, x, workers=4)
-        assert np.array_equal(one.ranked_ids, four.ranked_ids)
-        assert np.array_equal(one.probs, four.probs)
-
-    def test_diversity_worker_count_invariant(self):
-        rng = np.random.default_rng(13)
-        src = rng.integers(0, 20, size=50)
-        dst = rng.integers(0, 20, size=50)
-        g = G.from_edges(20, src, dst, directed=False)
-        x = rng.normal(size=(20, 4))
-        one = R.rank_by_diversity(g, x, workers=1)
-        three = R.rank_by_diversity(g, x, workers=3)
-        assert np.array_equal(one.ranked_ids, three.ranked_ids)
-        assert np.array_equal(one.probs, three.probs)
-
-
 def mixed_graph_and_features(seed):
     """A random graph with every row shape the degree groups must handle.
 
@@ -662,22 +638,12 @@ class TestDegreeGroups:
         assert R.rank_by_similarity(g, x).m == 0
         assert R.rank_by_diversity(g, x).m == 0
 
-    @pytest.mark.parametrize("mode", ["similar", "diverse"])
-    def test_workers_one_and_two_identical(self, mode):
-        g, x = mixed_graph_and_features(26)
-        rank = R.rank_by_similarity if mode == "similar" else R.rank_by_diversity
-        one = rank(g, x, workers=1)
-        two = rank(g, x, workers=2)
-        assert one.ranked_ids.tobytes() == two.ranked_ids.tobytes()
-        assert one.probs.tobytes() == two.probs.tobytes()
-
 
 def staircase_graph_and_features(seed):
     """A directed graph with one row for each candidate count 2..150.
 
-    The 149 staircase rows sit at random ids, so both chunks of a
-    two-worker build hold some, and every fifth one also has a
-    self-loop. Rows of degree 0 and 1 and a row holding only a
+    The 149 staircase rows sit at random ids, and every fifth one also
+    has a self-loop. Rows of degree 0 and 1 and a row holding only a
     self-loop ride along. Some feature rows are small integers, which
     tie gains, and some are all zero, which tie coverage gains at 0.
     """
@@ -735,11 +701,8 @@ class TestLockstepBatches:
         monkeypatch.setattr(R, "BLOCK_ELEMENTS", block)
         g, x = staircase_graph_and_features(28)
         expect = naive_staircase_rows(fn_kind, lam)
-        for workers in (1, 2):
-            rt = R.rank_by_diversity(
-                g, x, sim="neg_euclidean", fn_kind=fn_kind, lam=lam, workers=workers
-            )
-            assert rt.ranked_ids.tobytes() == expect
+        rt = R.rank_by_diversity(g, x, sim="neg_euclidean", fn_kind=fn_kind, lam=lam)
+        assert rt.ranked_ids.tobytes() == expect
 
     @pytest.mark.parametrize("fn_kind", R.SUBMODULAR_KINDS)
     def test_step_count(self, monkeypatch, fn_kind):

@@ -701,6 +701,12 @@ class TestDisjointSample:
         with pytest.raises(ValueError, match="exceeds"):
             SA.disjoint_subgraph_sample(col, 9, 0.0, SA.rng_for(4))
 
+    @pytest.mark.parametrize("k", [-1, -5])
+    def test_negative_k_rejected(self, k):
+        _, col = self.manual_collection()
+        with pytest.raises(ValueError, match=f"k={k} is negative"):
+            SA.disjoint_subgraph_sample(col, k, 0.0, SA.rng_for(4))
+
 
 class TestEdgeWeightsFromTable:
     def test_masses_align(self):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -41,6 +42,10 @@ class TestSynthSpec:
     def test_degree_floor(self):
         with pytest.raises(ValueError, match="at least 2"):
             SY.SynthSpec(0.5, 1.5)
+
+    def test_infinite_degree_rejected(self):
+        with pytest.raises(ValueError, match="average degree must be finite, got inf"):
+            SY.SynthSpec(0.5, float("inf"))
 
     def test_wrong_range_arity(self):
         with pytest.raises(ValueError, match="lo, hi"):
@@ -122,6 +127,13 @@ class TestGenerateSynthetic:
         b = SY.generate_synthetic(None, y, SY.SynthSpec(0.3, 8.0, seed=9))
         assert np.array_equal(a.offsets, b.offsets)
         assert np.array_equal(a.targets, b.targets)
+
+    @pytest.mark.parametrize("degree, quota", [(1e300, "2.5e+299"), (1e18, "2.5e+17")])
+    def test_undrawable_quota_rejected(self, degree, quota):
+        # each node asks for degree / 4 same-label partners from a pool of 1
+        y = np.array([0, 0, 1, 1])
+        with pytest.raises(ValueError, match=re.escape(f"a quota of {quota} same-label")):
+            SY.generate_synthetic(None, y, SY.SynthSpec(0.5, degree))
 
     def test_feature_row_mismatch(self):
         y = labels(10, 2, 9)
