@@ -209,7 +209,6 @@ def cmd_rank(ns, ctx) -> dict:
             raise ValueError("learned similarity needs --labels to train on")
         cfg = similarity.SiameseConfig(h1=64, h2=32, epochs=ns.sim_epochs, seed=ns.seed)
         model, _ = similarity.train_similarity(g, x, y, cfg)
-        similarity.save_similarity_model(ns.out + ".model", model)
 
     sim = _SIM_MAP[ns.sim]
     if ns.mode == "similar":
@@ -219,6 +218,8 @@ def cmd_rank(ns, ctx) -> dict:
             g, x, sim=sim, fn_kind=_FN_MAP[ns.fn], pmf=pmf, model=model, lam=ns.lam
         )
     save_rank_table(rt, ns.out)
+    if model is not None:  # after the table, so a table that fails leaves no model
+        similarity.save_similarity_model(ns.out + ".model", model)
     return {
         "command": "rank",
         "mode": ns.mode,
@@ -348,10 +349,8 @@ def cmd_train_demo(ns, ctx) -> dict:
         tables.append(load_rank_table(ctx.digest(ns.table_sim)))
     if ns.table_div:
         tables.append(load_rank_table(ctx.digest(ns.table_div)))
-    if len(tables) != ns.channels:
-        raise ValueError(
-            f"channels={ns.channels} needs exactly {ns.channels} table(s), got {len(tables)}"
-        )
+    if not tables:
+        raise ValueError("train-demo needs --table-sim, --table-div or both")
 
     cfg = demo.TrainConfig(
         hidden=ns.hidden, fanouts=ns.fanouts, batch_size=ns.batch_size, epochs=ns.epochs,
@@ -366,7 +365,7 @@ def cmd_train_demo(ns, ctx) -> dict:
     )
     return {
         "command": "train-demo",
-        "channels": ns.channels,
+        "channels": len(tables),
         "combiner": ns.combiner,
         "epochs_run": len(history["loss"]),
         "stopped": history["stopped"],
@@ -503,10 +502,6 @@ def build_parser(environ=None, required=True) -> argparse.ArgumentParser:
     shared.add_argument("--seed", type=int, default=(environ or {}).get("AGS_SEED") or 0)
     shared.add_argument("--config", default=None, help="key=value config file")
     shared.add_argument("--out", default=None)
-    shared.add_argument(
-        "--workers", type=_positive_int, default=1,
-        help="accepted for compatibility; no effect (ranking runs in one process)",
-    )
 
     kernel = _Parser(add_help=False)
     kernel.add_argument("--sim", choices=tuple(_SIM_MAP), default="cosine")
@@ -581,7 +576,6 @@ def build_parser(environ=None, required=True) -> argparse.ArgumentParser:
     pt.add_argument("--labels", required=required)
     pt.add_argument("--table-sim", default=None)
     pt.add_argument("--table-div", default=None)
-    pt.add_argument("--channels", type=int, choices=(1, 2), default=2)
     pt.add_argument("--combiner", choices=tuple(_COMBINER_MAP), default="concat")
     pt.add_argument("--epochs", type=int, default=50)
     pt.add_argument("--hidden", type=int, default=64)

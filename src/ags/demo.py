@@ -63,8 +63,12 @@ class TrainConfig:
             raise ValueError("epochs must be in 1..250")
         if self.batch_size < 1 or self.mc_samples < 1:
             raise ValueError("batch size and mc_samples must be positive")
-        if self.lr <= 0.0 or self.threshold <= 0.0:
-            raise ValueError("lr and threshold must be positive")
+        # chained comparisons are False for NaN, so NaN fails here too
+        if not (0.0 < self.lr < np.inf and 0.0 < self.threshold < np.inf):
+            raise ValueError(
+                f"lr and threshold must be positive and finite, "
+                f"got lr={self.lr!r}, threshold={self.threshold!r}"
+            )
         if self.window < 2:
             raise ValueError("convergence window must span several epochs")
         if self.combiner not in COMBINERS:

@@ -470,7 +470,15 @@ def make_rank_table(mode, pmf_kind, pmf_params, offsets, ranked_ids, probs) -> R
 
 
 def save_rank_table(rt: RankTable, path: str) -> None:
-    """Write the little-endian binary table with a trailing CRC32."""
+    """Write the little-endian binary table with a trailing CRC32.
+
+    Raises ValueError, writing nothing, on a table that ``validate``
+    rejects, so every file written here loads.
+    """
+    try:
+        rt.validate()
+    except ValueError as exc:
+        raise ValueError(f"rank table not written: {exc}") from None
     header = struct.pack(
         "<4sIBBHQQ6d",
         RANK_TABLE_MAGIC,

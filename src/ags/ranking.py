@@ -64,12 +64,14 @@ class PmfSpec:
         if self.k1 + self.k2 > 1.0:
             raise ValueError("k1 + k2 must not exceed 1")
         l1, l2, l3 = self.lambdas
+        if not all(math.isfinite(v) for v in self.lambdas):
+            raise ValueError(f"lambdas must be finite, got {self.lambdas!r}")
         if not (l1 > l2 > l3 > 0.0):
             raise ValueError("need lambda1 > lambda2 > lambda3 > 0")
         if not (0.0 < self.rate < 1.0):
             raise ValueError("decay rate must lie in (0, 1)")
-        if self.eps < 0.0:
-            raise ValueError("floor mass cannot be negative")
+        if not (0.0 <= self.eps < math.inf):
+            raise ValueError(f"floor mass must be finite and nonnegative, got {self.eps!r}")
 
     def params(self) -> tuple[float, float, float, float, float, float]:
         return (self.k1, self.k2, *self.lambdas, self.rate)
@@ -525,14 +527,11 @@ def rank_by_similarity(
     sim: str = "cosine",
     pmf: PmfSpec | None = None,
     model: SiameseModel | None = None,
-    workers: int = 1,
 ) -> RankTable:
     """Rank every vertex's neighbors by similarity to that vertex.
 
     Rows are sorted by descending similarity with ascending-id
     tie-breaks; probabilities come from the rank positions alone.
-    ``workers`` is accepted for compatibility and has no effect: the
-    table is built in one process.
     """
     x = _check_node_features(g, x)
     if sim not in SIM_KINDS:
@@ -554,14 +553,12 @@ def rank_by_diversity(
     pmf: PmfSpec | None = None,
     model: SiameseModel | None = None,
     lam: float = 2.0,
-    workers: int = 1,
 ) -> RankTable:
     """Rank neighbors by greedy submodular gain over each egonet.
 
     The ego is the initial selection; the candidate universe is its
     neighborhood plus itself, so kernels stay egonet-sized. Kernel-less
     kinds (coverage, feature-based) read the feature rows directly.
-    ``workers`` is accepted for compatibility and has no effect.
     """
     x = _check_node_features(g, x)
     if sim not in SIM_KINDS:

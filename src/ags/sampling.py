@@ -4,7 +4,7 @@ Samplers never look at raw similarity scores: every draw follows the
 PMF a RankTable assigned from rank positions. All routines are
 deterministic functions of their inputs and the generator handed in;
 stream-splitting helpers let callers hand independent, reproducible
-generators to workers, epochs, and batches.
+generators to nodes, epochs, and batches.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .graph import Graph, RankTable, Subgraph, build_subgraph, unique_ids
 
 
 def rng_for(seed: int, *stream: int) -> np.random.Generator:
-    """Generator for a (seed, stream...) coordinate, e.g. worker/epoch/batch.
+    """Generator for a (seed, stream...) coordinate, e.g. epoch/batch or node.
 
     Distinct stream tuples give statistically independent generators;
     the same tuple always reproduces the same draws.

@@ -77,18 +77,6 @@ class SynthSpec:
         return (t, t)
 
 
-def stochastic_round(value: float, rng: np.random.Generator) -> int:
-    """Round to floor(value) + 1 with probability equal to the fraction.
-
-    Unbiased: the expectation equals ``value``.  Always consumes one draw so
-    callers' stream layouts do not depend on the value.
-    """
-    value = float(value)
-    if value < 0.0:
-        raise ValueError("cannot round a negative count")
-    return _round_at(value, rng.random())
-
-
 def _round_at(value: float, draw: float) -> int:
     """floor(value), plus 1 when the uniform ``draw`` falls below the fraction."""
     base = math.floor(value)

@@ -258,6 +258,18 @@ def validate_loop(g):
                 raise ValueError(f"missing reverse edge for ({u},{v})")
 
 
+def stochastic_round(value, rng):
+    """Round to floor(value) + 1 with probability equal to the fraction,
+    taking one draw from ``rng`` whatever the value; the expectation is
+    ``value``. The rounding itself is ``synth._round_at``."""
+    from ags.synth import _round_at
+
+    value = float(value)
+    if value < 0.0:
+        raise ValueError("cannot round a negative count")
+    return _round_at(value, rng.random())
+
+
 def generate_synthetic_loop(x, y, spec, rng=None):
     """generate_synthetic as one Python iteration per node: a fresh
     ``rng_for`` generator, three scalar draws, a pool copy without u and
@@ -267,7 +279,7 @@ def generate_synthetic_loop(x, y, spec, rng=None):
 
     from ags.graph import from_edges
     from ags.sampling import rng_for
-    from ags.synth import _NODE_STREAM, SynthWarning, stochastic_round
+    from ags.synth import _NODE_STREAM, SynthWarning
 
     def draw(pool, count, r, notes, kind):
         if count <= 0:

@@ -42,10 +42,9 @@ def workdir(tmp_path_factory):
                      "--seed", "7", "--out", str(root / "g.edges")]) == 0
     graph = ["--graph", str(root / "g.edges")]
     assert cli.main(["rank", *graph, "--features", str(root / "x.txt"),
-                     "--mode", "similar", "--workers", "1",
-                     "--out", str(root / "sim.agsr")]) == 0
+                     "--mode", "similar", "--out", str(root / "sim.agsr")]) == 0
     assert cli.main(["rank", *graph, "--features", str(root / "x.txt"),
-                     "--mode", "diverse", "--fn", "facility", "--workers", "1",
+                     "--mode", "diverse", "--fn", "facility",
                      "--out", str(root / "div.agsr")]) == 0
     return root
 
@@ -111,10 +110,33 @@ class TestDispatch:
         args = [command, *graph_flags(workdir), *data_flags(workdir),
                 "--fn", "graphcut", f"--lam={lam}", "--out", str(tmp_path / "out")]
         if command == "rank":
-            args += ["--mode", "diverse", "--workers", "1"]
+            args += ["--mode", "diverse"]
         assert cli.main(args) == 1
         assert not (tmp_path / "out").exists()
         assert "lam must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lambdas, match", [
+        ("inf,2,1", "lambdas must be finite"),
+        ("1e300,1e299,1e-300", "rank table not written: every probability must be positive"),
+    ])
+    def test_unusable_lambdas_exit_1_without_a_table(self, workdir, tmp_path, capsys,
+                                                      lambdas, match):
+        out = tmp_path / "t.agsr"
+        assert cli.main(["rank", *graph_flags(workdir), "--features", p(workdir, "x.txt"),
+                         "--mode", "similar", "--lambdas", lambdas, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert match in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_exits_1(self, workdir, tmp_path, capsys, lr):
+        out = tmp_path / "run.json"
+        assert cli.main(["train-demo", *graph_flags(workdir), *data_flags(workdir),
+                         "--table-sim", p(workdir, "sim.agsr"), "--epochs", "1",
+                         f"--lr={lr}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "lr and threshold must be positive and finite" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_unknown_flag_exits_2(self, workdir):
         assert cli.main(["analyze", *graph_flags(workdir),
@@ -169,19 +191,10 @@ class TestDeterminism:
     def test_rank_rerun_byte_identical(self, workdir):
         a, b = p(workdir, "rer-a.agsr"), p(workdir, "rer-b.agsr")
         args = ["rank", *graph_flags(workdir),
-                "--features", p(workdir, "x.txt"), "--mode", "similar",
-                "--workers", "1", "--seed", "4"]
+                "--features", p(workdir, "x.txt"), "--mode", "similar", "--seed", "4"]
         assert cli.main([*args, "--out", a]) == 0
         assert cli.main([*args, "--out", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
-
-    def test_rank_worker_count_invariant(self, workdir):
-        one, four = p(workdir, "w1.agsr"), p(workdir, "w4.agsr")
-        args = ["rank", *graph_flags(workdir),
-                "--features", p(workdir, "x.txt"), "--mode", "diverse"]
-        assert cli.main([*args, "--workers", "1", "--out", one]) == 0
-        assert cli.main([*args, "--workers", "4", "--out", four]) == 0
-        assert open(one, "rb").read() == open(four, "rb").read()
 
     def test_rank_then_sample_rerun_byte_identical(self, workdir):
         outs = []
@@ -190,8 +203,7 @@ class TestDeterminism:
             batch = p(workdir, f"{tag}-batch.json")
             assert cli.main(["rank", *graph_flags(workdir),
                              "--features", p(workdir, "x.txt"),
-                             "--mode", "similar", "--workers", "2",
-                             "--out", table]) == 0
+                             "--mode", "similar", "--out", table]) == 0
             assert cli.main(["sample", "node", *graph_flags(workdir),
                              "--table", table,
                              "--seeds", p(workdir, "seeds.txt"),
@@ -213,11 +225,11 @@ class TestDeterminism:
     def test_train_demo_rerun_byte_identical(self, workdir):
         a, b = p(workdir, "run-a.json"), p(workdir, "run-b.json")
         args = ["train-demo", *graph_flags(workdir), *data_flags(workdir),
-                "--table-sim", p(workdir, "sim.agsr"),
-                "--channels", "1", "--epochs", "2", "--seed", "1"]
+                "--table-sim", p(workdir, "sim.agsr"), "--epochs", "2", "--seed", "1"]
         assert cli.main([*args, "--out", a]) == 0
         assert cli.main([*args, "--out", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
+        assert json.loads(open(a).read())["channels"] == 1
 
 
 class TestSeedPrecedence:
@@ -310,12 +322,11 @@ class TestSeedPrecedence:
 CONFIG_CASES = {
     "sample-node": (["sample", "node"], {
         "graph": "{w}/g.edges", "table": "{w}/sim.agsr", "table2": "{w}/div.agsr",
-        "seeds": "{w}/seeds.txt", "fanouts": "3,2", "seed": "5", "workers": "1",
-        "out": "{o}",
+        "seeds": "{w}/seeds.txt", "fanouts": "3,2", "seed": "5", "out": "{o}",
     }),
     "sample-walk-seeds": (["sample", "walk"], {
         "graph": "{w}/g.edges", "table": "{w}/div.agsr", "seeds": "{w}/seeds.txt",
-        "steps": "3", "seed": "5", "workers": "1", "out": "{o}",
+        "steps": "3", "seed": "5", "out": "{o}",
     }),
     "sample-walk-batch": (["sample", "walk"], {
         "graph": "{w}/g.edges", "table": "{w}/sim.agsr", "batch": "6", "steps": "4",
@@ -323,24 +334,24 @@ CONFIG_CASES = {
     }),
     "sample-disjoint": (["sample", "disjoint"], {
         "graph": "{w}/g.edges", "table": "{w}/sim.agsr", "K": "3", "k": "2",
-        "residual-frac": "0.2", "seed": "5", "workers": "1", "out": "{o}",
+        "residual-frac": "0.2", "seed": "5", "out": "{o}",
     }),
     "rank-learned": (["rank"], {
         "graph": "{w}/g.edges", "features": "{w}/x.txt", "labels": "{w}/y.txt",
         "mode": "similar", "sim": "learned", "sim-epochs": "2", "pmf": "exp",
-        "rate": "0.3", "k1": "0.3", "seed": "5", "workers": "1", "out": "{o}",
+        "rate": "0.3", "k1": "0.3", "seed": "5", "out": "{o}",
     }),
     "rank-diverse": (["rank"], {
         "graph": "{w}/g.edges", "features": "{w}/x.txt", "mode": "diverse",
         "sim": "euclidean", "fn": "graphcut", "lam": "1.5", "pmf": "step",
-        "lambdas": "5,3,1", "k1": "0.3", "k2": "0.3", "workers": "1", "out": "{o}",
+        "lambdas": "5,3,1", "k1": "0.3", "k2": "0.3", "out": "{o}",
     }),
     "train-demo": (["train-demo"], {
         "graph": "{w}/g.edges", "features": "{w}/x.txt", "labels": "{w}/y.txt",
-        "table-sim": "{w}/sim.agsr", "table-div": "{w}/div.agsr", "channels": "2",
+        "table-sim": "{w}/sim.agsr", "table-div": "{w}/div.agsr",
         "combiner": "skip", "epochs": "1", "hidden": "8", "lr": "0.01",
         "batch-size": "64", "fanouts": "3,2", "mc-samples": "2", "seed": "5",
-        "workers": "1", "out": "{o}",
+        "out": "{o}",
     }),
 }
 
@@ -417,8 +428,10 @@ REJECTED = [
     ("sample-node", "help=true"),
     ("sample-disjoint", "K=2.5"),
     ("rank", "sim=banana"),
-    ("rank", "workers=0"),
+    ("rank", "sim-epochs=0"),
     ("rank", "config=other.cfg"),
+    ("rank", "workers=1"),  # flags that no longer exist
+    ("train-demo", "channels=2"),
 ]
 
 
@@ -440,7 +453,7 @@ def parse_ready(workdir, command):
         "synth": data,
         "verify-lemmas": [*graph, *data],
         "train-demo": [*graph, *data, "--table-sim", p(workdir, "sim.agsr"),
-                       "--channels", "1", "--epochs", "1"],
+                       "--epochs", "1"],
         "bench": ["--sizes", "0"],
     }[command]
 
@@ -461,11 +474,15 @@ class TestConfigRejections:
 
     @pytest.mark.parametrize("command", sorted(cli._HANDLERS))
     def test_zero_workers_flag_exits_2(self, workdir, tmp_path, capsys, command):
+        """A flag value that fails its type, and the removed --workers flag,
+        are usage errors on every command: exit 2, nothing written."""
         args = [*words_of(command), *parse_ready(workdir, command), "--out", str(tmp_path / "o")]
+        assert cli.main([*args, "--seed", "notanint"]) == 2
+        assert "argument --seed: invalid int value: 'notanint'" in capsys.readouterr().err
         assert cli.main([*args, "--workers", "0"]) == 2
-        assert "argument --workers: expected a positive integer" in capsys.readouterr().err
+        assert "unrecognized arguments: --workers 0" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
-        assert cli.main([*args, "--workers", "1"]) == 0
+        assert cli.main(args) == 0
 
     def test_required_flag_may_come_from_the_file(self, workdir, tmp_path):
         cfg = tmp_path / "g.cfg"
@@ -598,7 +615,7 @@ class TestTableOfAnotherGraph:
                          "--seed", "8", "--out", p(workdir, "other.edges")]) == 0
         assert cli.main(["rank", "--graph", p(workdir, "other.edges"),
                          "--features", p(workdir, "x.txt"), "--mode", "similar",
-                         "--workers", "1", "--out", p(workdir, "other.agsr")]) == 0
+                         "--out", p(workdir, "other.agsr")]) == 0
         assert load_rank_table(p(workdir, "other.agsr")).n == N
         return p(workdir, "other.agsr")
 
@@ -617,8 +634,7 @@ class TestTableOfAnotherGraph:
     def test_train_demo_exits_1(self, workdir, other_table, capsys):
         assert cli.main(["train-demo", *graph_flags(workdir), *data_flags(workdir),
                          "--table-sim", p(workdir, "sim.agsr"),
-                         "--table-div", other_table,
-                         "--channels", "2", "--epochs", "1",
+                         "--table-div", other_table, "--epochs", "1",
                          "--out", p(workdir, "never7.json")]) == 1
         assert "do not match" in capsys.readouterr().err
 
@@ -630,8 +646,7 @@ class TestLearnedRank:
                          "--features", p(workdir, "x.txt"),
                          "--labels", p(workdir, "y.txt"),
                          "--mode", "similar", "--sim", "learned",
-                         "--sim-epochs", "3", "--seed", "2",
-                         "--workers", "1", "--out", out]) == 0
+                         "--sim-epochs", "3", "--seed", "2", "--out", out]) == 0
         rt = load_rank_table(out)
         assert rt.mode == "similar"
         with open(out + ".model", "rb") as fh:
@@ -640,7 +655,7 @@ class TestLearnedRank:
     def learned_args(self, workdir, out):
         return ["rank", *graph_flags(workdir), "--features", p(workdir, "x.txt"),
                 "--labels", p(workdir, "y.txt"), "--mode", "similar",
-                "--sim", "learned", "--workers", "1", "--out", str(out)]
+                "--sim", "learned", "--out", str(out)]
 
     def test_zero_sim_epochs_flag_exits_2(self, workdir, tmp_path, capsys):
         out = tmp_path / "t.agsr"
@@ -654,6 +669,13 @@ class TestLearnedRank:
         out = tmp_path / "t.agsr"
         assert cli.main([*self.learned_args(workdir, out), "--config", str(cfg)]) == 1
         assert "--sim-epochs" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "t.agsr.model").exists()
+
+    def test_unwritable_table_leaves_no_model(self, workdir, tmp_path):
+        out = tmp_path / "t.agsr"
+        args = [*self.learned_args(workdir, out), "--sim-epochs", "1",
+                "--lambdas", "1e300,1e299,1e-300"]
+        assert cli.main(args) == 1
         assert not out.exists() and not (tmp_path / "t.agsr.model").exists()
 
     def test_learned_without_labels_exits_1(self, workdir):
@@ -690,22 +712,31 @@ class TestVerifyAndTrain:
         assert f"model {model_path} takes 4-wide features" in err
         assert "--features has width 3" in err
 
-    def test_train_demo_channel_table_mismatch_exits_1(self, workdir):
-        assert cli.main(["train-demo", *graph_flags(workdir),
-                         *data_flags(workdir),
-                         "--table-sim", p(workdir, "sim.agsr"),
-                         "--channels", "2", "--epochs", "1",
-                         "--out", p(workdir, "never4.json")]) == 1
+    def test_train_demo_without_tables_exits_1(self, workdir, tmp_path, capsys):
+        out = tmp_path / "run.json"
+        assert cli.main(["train-demo", *graph_flags(workdir), *data_flags(workdir),
+                         "--epochs", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--table-sim" in err and "--table-div" in err
+        assert not out.exists()
+
+    def test_removed_channels_flag_exits_2(self, workdir, tmp_path, capsys):
+        out = tmp_path / "run.json"
+        assert cli.main(["train-demo", *graph_flags(workdir), *data_flags(workdir),
+                         "--table-sim", p(workdir, "sim.agsr"), "--channels", "2",
+                         "--epochs", "1", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --channels 2" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_train_demo_dual_reports_metrics(self, workdir):
         out = p(workdir, "run-dual.json")
         assert cli.main(["train-demo", *graph_flags(workdir),
                          *data_flags(workdir),
                          "--table-sim", p(workdir, "sim.agsr"),
-                         "--table-div", p(workdir, "div.agsr"),
-                         "--channels", "2", "--combiner", "concat",
+                         "--table-div", p(workdir, "div.agsr"), "--combiner", "concat",
                          "--epochs", "2", "--seed", "1", "--out", out]) == 0
         run = json.loads(open(out).read())
+        assert run["channels"] == 2
         assert run["epochs_run"] == 2
         assert 0.0 <= run["test_micro_f1"] <= 1.0
         assert len(run["loss"]) == 2
@@ -714,7 +745,7 @@ class TestVerifyAndTrain:
         # the flag trains with replacement, as TrainConfig(replace=True)
         # does; the final test evaluation keeps its default draws
         base = ["train-demo", *graph_flags(workdir), *data_flags(workdir),
-                "--table-sim", p(workdir, "sim.agsr"), "--channels", "1",
+                "--table-sim", p(workdir, "sim.agsr"),
                 "--epochs", "3", "--fanouts", "6,3", "--seed", "2"]
         cfg = tmp_path / "r.cfg"
         cfg.write_text("replace=true\n")

@@ -58,6 +58,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="window"):
             D.TrainConfig(window=1)
 
+    @pytest.mark.parametrize("field", ["lr", "threshold"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+    def test_lr_and_threshold_positive_and_finite(self, field, value):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            D.TrainConfig(**{field: value})
+
 
 class TestForwardChannel:
     def test_isolated_node_identity_weights(self):

@@ -816,10 +816,14 @@ class TestRankTableCdf:
             ([3, 9, 9, 9, 2], [0.75, 0.25, 0.5, 0.25, 0.25]),  # past the end
         ],
     )
-    def test_invalid_tables_construct_then_fail_validate(self, offsets, probs):
+    def test_invalid_tables_construct_then_fail_validate(self, offsets, probs, tmp_path):
         rt = G.make_rank_table(
             "similar", "step", (0.0,) * 6, offsets, [1, 2, 0, 2, 3], probs
         )
         assert rt.cdf.shape == (5,)
         with pytest.raises(ValueError):
             rt.validate()
+        path = tmp_path / "t.agsr"
+        with pytest.raises(ValueError, match="rank table not written"):
+            G.save_rank_table(rt, str(path))
+        assert not path.exists()

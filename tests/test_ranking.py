@@ -124,6 +124,18 @@ class TestPmfSpec:
         with pytest.raises(ValueError, match="rate"):
             R.PmfSpec(rate=1.0)
 
+    @pytest.mark.parametrize(
+        "lambdas", [(np.inf, 2.0, 1.0), (4.0, 2.0, np.nan), (np.inf, np.inf, 1.0)]
+    )
+    def test_non_finite_lambdas_rejected(self, lambdas):
+        with pytest.raises(ValueError, match="lambdas must be finite"):
+            R.PmfSpec(lambdas=lambdas)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -1e-6])
+    def test_floor_mass_bounds(self, eps):
+        with pytest.raises(ValueError, match="floor mass"):
+            R.PmfSpec(kind="linear", eps=eps)
+
 
 class TestPmfFromRanks:
     def test_single_entry(self):
@@ -319,6 +331,17 @@ class TestRankBySimilarity:
         _, probs = rt.row(0)
         expect = [4 / 18] * 2 + [2 / 18] * 2 + [1 / 18] * 6
         assert probs == pytest.approx(expect, abs=1e-15)
+
+    def test_underflowing_masses_not_saved(self, tmp_path):
+        # finite lambdas so far apart that the lowest tier rounds to 0
+        g = star_graph(10)
+        x = np.random.default_rng(2).normal(size=(11, 4))
+        pmf = R.PmfSpec(lambdas=(1e300, 1e299, 1e-300))
+        rt = R.rank_by_similarity(g, x, pmf=pmf)
+        path = tmp_path / "t.agsr"
+        with pytest.raises(ValueError, match="not written: every probability must be positive"):
+            G.save_rank_table(rt, str(path))
+        assert not path.exists()
 
     def test_uniform_pmf(self):
         g = star_graph(5)

@@ -10,7 +10,7 @@ import ags.ranking as R
 import ags.similarity as S
 import ags.synth as SY
 from ags.sampling import rng_for
-from oracles import generate_synthetic_loop, lemma_gain_masses
+from oracles import generate_synthetic_loop, lemma_gain_masses, stochastic_round
 
 
 def labels(n, c, seed):
@@ -62,17 +62,20 @@ class TestSynthSpec:
 
 
 class TestStochasticRound:
+    """The oracle's rounding, which generate_synthetic_loop uses, through
+    synth._round_at, which generate_synthetic uses."""
+
     def test_integer_is_exact(self):
         rng = np.random.default_rng(0)
-        assert all(SY.stochastic_round(3.0, rng) == 3 for _ in range(50))
+        assert all(stochastic_round(3.0, rng) == 3 for _ in range(50))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            SY.stochastic_round(-0.5, np.random.default_rng(0))
+            stochastic_round(-0.5, np.random.default_rng(0))
 
     def test_unbiased(self):
         rng = np.random.default_rng(1)
-        draws = [SY.stochastic_round(2.3, rng) for _ in range(20000)]
+        draws = [stochastic_round(2.3, rng) for _ in range(20000)]
         assert set(draws) <= {2, 3}
         assert abs(np.mean(draws) - 2.3) < 0.01
 
