@@ -353,11 +353,16 @@ class RankTable:
     rank order; ``probs`` holds the parallel PMF which sums to 1 per
     non-empty row and is positive everywhere.
 
-    ``cdf`` is derived from ``probs`` on construction and never written
-    to files: row u holds u plus the row's running mass, normalised by
-    the row's own total so its last entry is exactly u + 1. The whole
-    array is nondecreasing, so one ``searchsorted`` of u + U draws from
-    row u for every u of a frontier at once.
+    ``cdf`` and ``guide`` are derived from ``probs`` on construction and
+    never written to files. Row u of ``cdf`` holds u plus the row's
+    running mass, normalised by the row's own total so its last entry is
+    exactly u + 1; a draw of u with uniform U takes the first entry of
+    the row whose ``cdf`` exceeds u + U, and the whole array is
+    nondecreasing, so one ``searchsorted`` of u + U finds it too. The
+    guide table (Chen and Asau 1974) lets draws start near that entry:
+    row u's d entries double as d equal slots of [0, 1), and ``guide``
+    holds, for slot j, the in-row index (int32) of the first entry whose
+    normalised running mass passes j / d.
     """
 
     mode: str
@@ -367,9 +372,12 @@ class RankTable:
     ranked_ids: np.ndarray
     probs: np.ndarray
     cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    guide: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cdf", _frozen(_shifted_cdf(self.offsets, self.probs)))
+        cdf, guide = _shifted_cdf(self.offsets, self.probs)
+        object.__setattr__(self, "cdf", _frozen(cdf))
+        object.__setattr__(self, "guide", _frozen(guide))
 
     @property
     def n(self) -> int:
@@ -438,24 +446,55 @@ class RankTable:
         return order
 
 
-def _shifted_cdf(offsets: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Row id plus normalised in-row running mass, for every table entry.
+def _shifted_cdf(offsets: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``cdf`` and ``guide`` arrays of a table, in one pass.
+
+    ``cdf`` is the row id plus the normalised in-row running mass of
+    every entry. ``guide`` gives slot j of a row of d entries the count
+    of the row's entries whose mass times d rounds up to at most j:
+    the first entry whose mass passes j / d, as an in-row index.
 
     Never raises: a table that ``RankTable.validate`` rejects (bad
-    offsets, a row of zero or non-finite mass) still gets an array, and
-    draws from such a table are meaningless but stay inside their row.
+    offsets, a row of zero or non-finite mass) still gets both arrays.
+    Every guide value is clipped to an in-row index of its entry's row,
+    so draws from such a table are meaningless but stay inside their
+    row.
     """
     m = probs.shape[0]
     if m == 0 or offsets.shape[0] < 2:
-        return np.zeros(m, dtype=np.float64)
+        return np.zeros(m, dtype=np.float64), np.zeros(m, dtype=np.int32)
     bounds = np.clip(offsets, 0, m)
     # entry j's row counts the row ends at or before j
     row = np.cumsum(np.bincount(bounds[1:], minlength=m + 1)[:m])
     row = np.minimum(row, offsets.shape[0] - 2)
     cum = np.concatenate([[0.0], np.cumsum(probs)])
-    base = cum[bounds[row]]
+    lo, hi = bounds[row], bounds[row + 1]
+    base = cum[lo]
+    total = cum[hi]
+    # at m = 1.2M each array is 10 MB, so dead ones are reused in place
+    d = np.subtract(hi, lo, out=hi)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return row + (cum[1:] - base) / (cum[bounds[row + 1]] - base)
+        total -= base
+        mass = cum[1:] - base
+        np.divide(mass, total, out=mass)
+        # the first slot that counts each entry; fmin sends NaN to d
+        first = np.multiply(mass, d, out=base)
+    cdf = np.add(row, mass, out=mass)
+    np.ceil(first, out=first)
+    np.fmin(first, d, out=first)
+    np.fmax(first, 0.0, out=first)
+    slot = row
+    np.copyto(slot, first, casting="unsafe")
+    slot += lo
+    # a valid table's earlier rows put all lo of their entries at or
+    # before slot lo, so the running count past lo is the row's own
+    guide = np.bincount(slot, minlength=m + 1)[:m]
+    np.cumsum(guide, out=guide)
+    guide -= lo
+    d -= 1
+    np.minimum(guide, d, out=guide)
+    np.maximum(guide, 0, out=guide)
+    return cdf, guide.astype(np.int32)
 
 
 def make_rank_table(mode, pmf_kind, pmf_params, offsets, ranked_ids, probs) -> RankTable:

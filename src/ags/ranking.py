@@ -78,7 +78,12 @@ class PmfSpec:
 
 
 def pmf_from_ranks(d: int, spec: PmfSpec) -> np.ndarray:
-    """Probability for each of ``d`` rank positions, best rank first."""
+    """Probability for each of ``d`` rank positions, best rank first.
+
+    Raises ValueError when a mass is zero or not finite: lambdas far
+    apart can underflow the lowest tier, or overflow the row's total so
+    that every mass is 0.
+    """
     if d < 1:
         raise ValueError("need at least one ranked entry")
     if spec.kind == "uniform":
@@ -96,7 +101,14 @@ def pmf_from_ranks(d: int, spec: PmfSpec) -> np.ndarray:
         w = np.arange(d, 0, -1, dtype=np.float64) + spec.eps
     else:  # exponential
         w = spec.rate ** np.arange(1, d + 1, dtype=np.float64) + spec.eps
-    return w / w.sum()
+    with np.errstate(over="ignore", under="ignore"):
+        p = w / w.sum()
+    if not np.all(np.isfinite(p) & (p > 0.0)):
+        raise ValueError(
+            f"every PMF mass must be finite and positive; {spec!r} gives a "
+            f"zero or non-finite mass at degree {d}"
+        )
+    return p
 
 
 def _check_lam(lam: float) -> None:

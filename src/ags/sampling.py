@@ -135,6 +135,15 @@ def rngs_for(seed: int, *stream: int, count: int) -> Iterator[np.random.Generato
     return (np.random.Generator(np.random.PCG64(_StateWords(row))) for row in states)
 
 
+# Forward steps a draw may take from its guide slot before it falls back
+# to a search. On the benchmark's tables, and on a 100,000-node Chung-Lu
+# table, 31-39% of draws need at least one step, 4-6% two, 0.2-0.8%
+# three, and none more. A geometric tail can leave hundreds of entries
+# in a row's last slot, so a draw there is searched for rather than
+# stepped through.
+GUIDE_STEPS = 3
+
+
 def sample_frontier(
     rt: RankTable,
     frontier,
@@ -184,12 +193,39 @@ def sample_frontier(
 def _inverse_cdf(rt: RankTable, src: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The neighbor of ``src[i]`` that uniform ``u[i]`` in [0, 1) selects.
 
-    One ``searchsorted`` of src + u into the table's shifted CDF serves
-    every row; clipping to the row keeps a sum that rounds up to src + 1
-    from spilling into the next row.
+    That is the first entry of the row whose ``cdf`` exceeds u + src, or
+    the row's last entry when none does: a sum that rounds up to
+    src + 1 stays in its row. Each draw starts where the table's guide
+    sends its slot min(floor(u * d), d - 1) and takes up to
+    ``GUIDE_STEPS`` forward steps against ``cdf``. The draws that this
+    leaves unresolved (a start past the answer, through rounding, or an
+    answer further on) get one ``searchsorted`` over the whole ``cdf``,
+    clipped to the row. Either way every draw is that first entry.
     """
-    pos = np.searchsorted(rt.cdf, u + src, side="right")
-    np.clip(pos, rt.offsets[src], rt.offsets[src + 1] - 1, out=pos)
+    off, cdf = rt.offsets, rt.cdf
+    lo = off[src]
+    hi = np.minimum(off[1:][src], rt.m)
+    last = hi - 1
+    d = hi - lo
+    key = u + src
+    slot = (u * d).astype(np.int64)
+    np.minimum(slot, d - 1, out=slot)
+    slot += lo
+    pos = rt.guide[slot] + lo
+    np.minimum(pos, last, out=pos)
+    late = (pos > lo) & (cdf[pos - 1] > key)
+    short = np.flatnonzero((pos < last) & (cdf[pos] <= key))
+    for _ in range(GUIDE_STEPS):
+        if short.size == 0:
+            break
+        pos[short] += 1
+        at = pos[short]
+        short = short[(at < last[short]) & (cdf[at] <= key[short])]
+    late[short] = True
+    miss = np.flatnonzero(late)
+    if miss.size:
+        found = np.searchsorted(cdf, key[miss], side="right")
+        pos[miss] = np.clip(found, lo[miss], last[miss])
     return rt.ranked_ids[pos]
 
 
@@ -284,10 +320,8 @@ def weighted_random_walk(
     (vertex with no ranked neighbors) truncates that walk. steps = 0
     returns the seeds with no edges.
 
-    Before each step the live walks are put in the order of their search
-    keys (vertex + uniform), so the CDF search runs on ascending keys.
-    The subgraph is built from the set of walk edges, which that order
-    does not change.
+    Each step is one ``_inverse_cdf`` call over the live walks, in seed
+    order; the subgraph is built from the set of walk edges.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -305,10 +339,7 @@ def weighted_random_walk(
     for t in range(steps):
         if cur.size == 0:
             break
-        step = u[walker, t]
-        order = np.argsort(step + cur)
-        cur, walker = cur[order], walker[order]
-        nxt = _inverse_cdf(rt, cur, step[order])
+        nxt = _inverse_cdf(rt, cur, u[walker, t])
         hops.append(np.stack([cur, nxt], axis=1))
         keep = rt.offsets[nxt + 1] > rt.offsets[nxt]
         cur, walker = nxt[keep], walker[keep]

@@ -64,6 +64,15 @@ def sample_neighbors_one(rt, u, k, replace, rng):
     return ids[np.argsort(keys, kind="stable")[: min(k, d)]]
 
 
+def inverse_cdf_search(rt, src, u):
+    """Each draw's neighbour by one ``searchsorted`` of u + src into the
+    table's whole shifted CDF, clipped to the row: the search every
+    with-replacement draw and walk step made before the guide table."""
+    pos = np.searchsorted(rt.cdf, u + src, side="right")
+    np.clip(pos, rt.offsets[src], rt.offsets[src + 1] - 1, out=pos)
+    return rt.ranked_ids[pos]
+
+
 def sample_frontier_loop(rt, frontier, k, replace, rng):
     """(which, picks) for a frontier, one vertex at a time."""
     which, picks = [], []

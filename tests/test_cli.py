@@ -117,7 +117,7 @@ class TestDispatch:
 
     @pytest.mark.parametrize("lambdas, match", [
         ("inf,2,1", "lambdas must be finite"),
-        ("1e300,1e299,1e-300", "rank table not written: every probability must be positive"),
+        ("1e300,1e299,1e-300", "every PMF mass must be finite and positive"),
     ])
     def test_unusable_lambdas_exit_1_without_a_table(self, workdir, tmp_path, capsys,
                                                       lambdas, match):

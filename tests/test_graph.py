@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from oracles import (
 
 from ags import cli, textscan
 from ags import graph as G
+from ags import sampling as SA
 
 
 def fuzz_graph(rng, n_max=30, p=0.1, directed=False):
@@ -807,15 +809,15 @@ class TestRankTableCdf:
         assert size == G.RANK_TABLE_HEADER_BYTES + (rt.n + 1) * 8 + rt.m * 16 + 4
         assert np.array_equal(G.load_rank_table(path).cdf, rt.cdf)
 
-    @pytest.mark.parametrize(
-        "offsets, probs",
-        [
-            ([0, 2, 5, 5, 5], [0.0, 0.0, 0.5, 0.25, 0.25]),  # zero-mass row
-            ([0, 2, 5, 5, 5], [np.nan, 1.0, 0.5, np.inf, -0.25]),
-            ([0, 4, 2, 5, 5], [0.75, 0.25, 0.5, 0.25, 0.25]),  # decreasing
-            ([3, 9, 9, 9, 2], [0.75, 0.25, 0.5, 0.25, 0.25]),  # past the end
-        ],
-    )
+    INVALID = [
+        ([0, 2, 5, 5, 5], [0.0, 0.0, 0.5, 0.25, 0.25]),  # zero-mass row
+        ([0, 2, 5, 5, 5], [np.nan, 1.0, 0.5, np.inf, -0.25]),
+        ([0, 2, 5, 5, 5], [0.5, 0.5, np.inf, 0.25, 0.25]),  # infinite row total
+        ([0, 4, 2, 5, 5], [0.75, 0.25, 0.5, 0.25, 0.25]),  # decreasing
+        ([3, 9, 9, 9, 2], [0.75, 0.25, 0.5, 0.25, 0.25]),  # past the end
+    ]
+
+    @pytest.mark.parametrize("offsets, probs", INVALID)
     def test_invalid_tables_construct_then_fail_validate(self, offsets, probs, tmp_path):
         rt = G.make_rank_table(
             "similar", "step", (0.0,) * 6, offsets, [1, 2, 0, 2, 3], probs
@@ -827,3 +829,37 @@ class TestRankTableCdf:
         with pytest.raises(ValueError, match="rank table not written"):
             G.save_rank_table(rt, str(path))
         assert not path.exists()
+
+    @pytest.mark.parametrize("offsets, probs", INVALID)
+    def test_invalid_tables_draw_inside_their_rows(self, offsets, probs):
+        # ids equal to positions show which entry each draw landed on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rt = G.make_rank_table("similar", "step", (0.0,) * 6, offsets, np.arange(5), probs)
+        assert rt.guide.dtype == np.int32 and rt.guide.shape == (5,)
+        assert not rt.guide.flags.writeable
+        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], np.random.default_rng(0).random(300)])
+        off = np.asarray(offsets)
+        rows = np.flatnonzero(off[1:] > off[:-1])
+        assert rows.size
+        for r in rows.tolist():
+            lo, hi = off[r], min(off[r + 1], rt.m)
+            pos = SA._inverse_cdf(rt, np.full(u.size, r), u)
+            assert np.all((lo <= pos) & (pos < hi)), r
+            _, picks = SA.sample_frontier(rt, [r], 100, True, np.random.default_rng(r))
+            assert np.all((lo <= picks) & (picks < hi)), r
+
+    def test_guide_points_at_the_first_entry_past_each_slot(self):
+        # row 0 of toy_table has masses 0.75, 0.25: slot 1 of 2 starts at
+        # 0.5, still inside the first entry; row 1 has three entries
+        # ending at 0.5, 0.75 and 1, so slots 1/3 and 2/3 land on entries
+        # 0 and 1
+        rt = toy_table()
+        assert rt.guide.tolist() == [0, 0, 0, 0, 1]
+        assert rt.guide.dtype == np.int32 and not rt.guide.flags.writeable
+        d = np.diff(rt.offsets)
+        for r in np.flatnonzero(d).tolist():
+            lo, hi = rt.offsets[r], rt.offsets[r + 1]
+            mass = rt.cdf[lo:hi] - r
+            for j in range(hi - lo):
+                assert rt.guide[lo + j] == np.searchsorted(mass, j / (hi - lo), side="right")

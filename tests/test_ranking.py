@@ -163,6 +163,12 @@ class TestPmfFromRanks:
         with pytest.raises(ValueError, match="at least one"):
             R.pmf_from_ranks(0, R.PmfSpec())
 
+    def test_exponential_tail_underflow_rejected(self):
+        spec = R.PmfSpec(kind="exponential", rate=0.5, eps=0.0)
+        assert np.all(R.pmf_from_ranks(1000, spec) > 0.0)
+        with pytest.raises(ValueError, match="at degree 1100"):
+            R.pmf_from_ranks(1100, spec)
+
     def test_all_kinds_positive_and_normalized(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -333,15 +339,33 @@ class TestRankBySimilarity:
         assert probs == pytest.approx(expect, abs=1e-15)
 
     def test_underflowing_masses_not_saved(self, tmp_path):
-        # finite lambdas so far apart that the lowest tier rounds to 0
+        # finite lambdas so far apart that the lowest tier rounds to 0:
+        # ranking refuses them, and a table holding such masses is not saved
         g = star_graph(10)
         x = np.random.default_rng(2).normal(size=(11, 4))
         pmf = R.PmfSpec(lambdas=(1e300, 1e299, 1e-300))
-        rt = R.rank_by_similarity(g, x, pmf=pmf)
+        with pytest.raises(ValueError, match="every PMF mass must be finite and positive"):
+            R.rank_by_similarity(g, x, pmf=pmf)
+        w = np.array([1e300] * 2 + [1e299] * 2 + [1e-300] * 6)
+        probs = np.concatenate([w / w.sum(), np.ones(10)])
+        assert probs[9] == 0.0
+        rt = G.make_rank_table("similar", "step", pmf.params(), g.offsets, g.targets, probs)
         path = tmp_path / "t.agsr"
         with pytest.raises(ValueError, match="not written: every probability must be positive"):
             G.save_rank_table(rt, str(path))
         assert not path.exists()
+
+    @pytest.mark.parametrize("mode", ["similar", "diverse"])
+    @pytest.mark.parametrize("lambdas", [(1e308, 1e307, 1.0), (1e300, 1e299, 1e-300)])
+    def test_zero_masses_raise_before_a_table_exists(self, mode, lambdas):
+        # (1e308, 1e307, 1.0) overflows the hub row's total, so every
+        # mass of that row would be 0; (1e300, 1e299, 1e-300) underflows
+        # the lowest tier. The samplers would still draw from such a table
+        g = star_graph(10)
+        x = np.random.default_rng(2).normal(size=(11, 4))
+        rank = R.rank_by_similarity if mode == "similar" else R.rank_by_diversity
+        with pytest.raises(ValueError, match="at degree 10"):
+            rank(g, x, pmf=R.PmfSpec(lambdas=lambdas))
 
     def test_uniform_pmf(self):
         g = star_graph(5)

@@ -6,6 +6,7 @@ from oracles import (
     build_subgraph_dict,
     canonical_undirected_scatter,
     edge_weights_dict,
+    inverse_cdf_search,
     kruskal_forests,
     lexsort_rows_two_argsorts,
     sample_frontier_loop,
@@ -841,3 +842,145 @@ class TestPinnedSamplerDigest:
             put(np.float64(weight))
         put_sub(SA.disjoint_subgraph_sample(col, 2, 0.3, SA.rng_for(5)))
         assert h.hexdigest() == self.DIGEST
+
+
+def rows_of_every_degree(max_degree=400, seed=12):
+    """Node i < max_degree has out-degree i + 1, a self-loop when i % 3 == 0;
+    the last node has no neighbours."""
+    rng = np.random.default_rng(seed)
+    n = max_degree + 1
+    src, dst = [], []
+    for i in range(max_degree):
+        others = np.delete(np.arange(n), i)
+        loop = i % 3 == 0
+        picks = rng.choice(others, size=i + 1 - loop, replace=False).tolist()
+        src += [i] * (i + 1)
+        dst += picks + [i] * loop
+    g = G.from_edges(n, src, dst, directed=True)
+    return g, rng.normal(size=(n, 4))
+
+
+GUIDE_PMFS = {
+    "step": R.PmfSpec(kind="step"),
+    "step-extreme": R.PmfSpec(kind="step", k1=0.15, k2=0.45, lambdas=(1e300, 1e150, 1.0)),
+    "linear": R.PmfSpec(kind="linear"),
+    "linear-no-floor": R.PmfSpec(kind="linear", eps=0.0),
+    "exponential": R.PmfSpec(kind="exponential"),
+    "exponential-0.5": R.PmfSpec(kind="exponential", rate=0.5, eps=0.0),
+    "exponential-0.9": R.PmfSpec(kind="exponential", rate=0.9, eps=0.0),
+    "uniform": R.PmfSpec(kind="uniform"),
+}
+
+
+class TestGuidedInverseCdf:
+    """``_inverse_cdf`` starts at the guide and must land where one
+    ``searchsorted`` over the whole CDF lands (``inverse_cdf_search``)."""
+
+    @staticmethod
+    def boundary_uniforms(rt, r):
+        """0, the largest uniform below 1, every slot edge j / d and every
+        entry's mass in row r, each with its float neighbours."""
+        lo, hi = rt.offsets[r], rt.offsets[r + 1]
+        d = hi - lo
+        edges = np.concatenate([np.arange(d) / d, rt.cdf[lo:hi] - r])
+        u = np.concatenate([
+            [0.0, np.nextafter(1.0, 0.0)], edges,
+            np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        ])
+        return u[(u >= 0.0) & (u < 1.0)]
+
+    @pytest.mark.parametrize("pmf", sorted(GUIDE_PMFS))
+    def test_matches_search_on_rows_of_degree_1_to_400(self, pmf):
+        g, x = rows_of_every_degree()
+        rt = R.rank_by_similarity(g, x, pmf=GUIDE_PMFS[pmf])
+        rt.validate(g)
+        rng = np.random.default_rng(13)
+        src, u = [], []
+        for r in range(g.n - 1):
+            ur = np.concatenate([self.boundary_uniforms(rt, r), rng.random(16)])
+            src.append(np.full(ur.size, r))
+            u.append(ur)
+        src, u = np.concatenate(src), np.concatenate(u)
+        # a sum that rounds up to src + 1 must stay in the row
+        assert np.any(u + src == src + 1)
+        got = SA._inverse_cdf(rt, src, u)
+        assert np.array_equal(got, inverse_cdf_search(rt, src, u))
+
+    def test_geometric_tail_is_searched_not_stepped(self, monkeypatch):
+        # at rate 0.5 and d = 400, hundreds of entries share the row's
+        # last slot: a draw deep in it is searched for, not stepped to
+        g, rt = star_table(400, kind="exponential", rate=0.5, eps=0.0)
+        d = 400
+        assert d - 1 - rt.guide[d - 1] > 300
+        u = np.concatenate([np.random.default_rng(14).random(4000), 1.0 - 2.0 ** -np.arange(10, 50)])
+        src = np.zeros(u.size, dtype=np.int64)
+        expect = inverse_cdf_search(rt, src, u)
+        entry = np.empty(g.n, dtype=np.int64)
+        entry[rt.ranked_ids[:d]] = np.arange(d)
+        start = rt.guide[np.minimum((u * d).astype(np.int64), d - 1)]
+        steps = entry[expect] - start
+        assert steps.min() >= 0
+        far = int(np.sum(steps > SA.GUIDE_STEPS))
+        assert far >= 30
+
+        searched = []
+        search = np.searchsorted
+
+        def spy(a, v, *args, **kwargs):
+            searched.append(np.size(v))
+            return search(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", spy)
+        got = SA._inverse_cdf(rt, src, u)
+        monkeypatch.undo()
+        assert np.array_equal(got, expect)
+        assert searched == [far]
+
+
+class TestPinnedDrawDigests:
+    """sha256 of the draws with replacement and of the walk subgraph on
+    one hub graph under each PMF kind, recorded at commit f660d84, when
+    every draw searched the whole CDF."""
+
+    DIGESTS = {
+        "step": (
+            "32188cd96483de786e1cd0993381dd7105a54e15b151632addf20083b9e97106",
+            "6a9094679e8cfeab038f96bd7fb2ed8255131ea58897996ae4a70233811817a4",
+        ),
+        "linear": (
+            "8575052ef79f394ed4427f0513c5b89e1bd256214a7c772f2e4561c35b659182",
+            "1287fb862f9745c8ed1629d68c8061c40b49c053d9f8afaede5291289a4c895b",
+        ),
+        "exponential": (
+            "975bad3281e0da5acc414778ec54e3603defe2fd8cfe63036d1de26f56490451",
+            "04a08c0c93575afa20826dec07f1b1c10e8c3c55ea4c1040cabbf774352a0d27",
+        ),
+        "uniform": (
+            "110eeaba7fdbddc625f2a6342b38e2cd6cc032e91a6e4d12573e8e884fc73525",
+            "8224adb41440eb94e9c74b6939140f58d413d8e569694c0a29cb673d2d40e5b7",
+        ),
+    }
+    PMFS = {
+        "step": R.PmfSpec(kind="step", lambdas=(1e6, 1e3, 1.0)),
+        "linear": R.PmfSpec(kind="linear"),
+        "exponential": R.PmfSpec(kind="exponential", rate=0.5, eps=0.0),
+        "uniform": R.PmfSpec(kind="uniform"),
+    }
+
+    def test_every_pmf_kind_is_pinned(self):
+        assert sorted(self.DIGESTS) == sorted(R.PMF_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(DIGESTS))
+    def test_digest(self, kind):
+        g, x = chung_lu_with_hubs()
+        rt = R.rank_by_similarity(g, x, pmf=self.PMFS[kind])
+        seeds = np.arange(0, g.n, 3)
+        sub = SA.node_sample_khop(g, rt, seeds, [10, 5], SA.rng_for(6), replace=True)
+        layers = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in sub.layers))
+        walk = SA.weighted_random_walk(
+            g, rt, np.concatenate([seeds, seeds[:50]]), 12, SA.rng_for(7)
+        )
+        h = hashlib.sha256()
+        for a in (walk.parent_ids, walk.graph.offsets, walk.graph.targets, walk.seed_mask):
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert (layers.hexdigest(), h.hexdigest()) == self.DIGESTS[kind]
