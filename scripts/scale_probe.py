@@ -80,6 +80,7 @@ def main() -> None:
     timed("synth.generate_synthetic", lambda: synth.generate_synthetic(
         x, y, synth.SynthSpec(target_hn=0.5, avg_degree=MEAN_DEGREE, seed=1)))
     timed("metrics.homophily_report", lambda: metrics.homophily_report(g, y))
+    timed("metrics.homophily_report, features", lambda: metrics.homophily_report(g, y, x))
 
     pmf = ranking.PmfSpec(kind="step", k1=0.15, k2=0.45, lambdas=(8.0, 3.0, 1.0))
     sim = timed("rank similar, cosine", lambda: ranking.rank_by_similarity(g, x, pmf=pmf))

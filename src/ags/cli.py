@@ -191,9 +191,7 @@ def _subgraph_payload(sub: Subgraph) -> dict:
 
 def cmd_analyze(ns, ctx) -> dict:
     g, x, y = _load_graph_features_labels(ns, ctx)
-    report = metrics.homophily_report(
-        g, y, X=x, sim=similarity.cosine if x is not None else None
-    )
+    report = metrics.homophily_report(g, y, X=x)
     payload = {"command": "analyze", "n": g.n, "m": g.m}
     payload.update(report.to_dict())
     return payload
@@ -390,9 +388,9 @@ def _bench_one_size(n: int, degree: float, seed: int) -> dict:
         g = synth.generate_synthetic(x, y, spec)
     row["m"] = g.m
 
-    # best of 3 calls: cmd_bench fits its slope to these timings
+    # best of 5 calls: cmd_bench fits its slope to these timings
     times = []
-    for _ in range(3):
+    for _ in range(5):
         t0 = time.perf_counter()
         rt_sim = ranking.rank_by_similarity(g, x)
         times.append(time.perf_counter() - t0)

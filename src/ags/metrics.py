@@ -223,59 +223,28 @@ def pearson(a: np.ndarray, b: np.ndarray) -> float:
     return cov / math.sqrt(va * vb)
 
 
-def feature_label_correlation(
-    g: Graph,
-    X: np.ndarray,
-    y: np.ndarray,
-    sim,
-    pairing: str = "edges",
-    n_pairs: int = 10000,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Pearson r between pairwise feature similarity and label match.
+def feature_label_correlation(g: Graph, X: np.ndarray, y: np.ndarray) -> float:
+    """Pearson r between cosine similarity and label match over the edges.
 
-    pairing selects the node-pair sample: "edges" uses the graph's edges,
-    "random_pairs" draws uniform node pairs, and "balanced" mixes every
-    edge with an equal number of random non-edges.
+    Every cosine has the bits of ``similarity.cosine`` on that pair: the
+    dots and squared norms are stacked (1, f) @ (f, 1) products, the
+    dot product np.linalg.norm takes, and a pair with an all-zero row
+    scores 0.0.
     """
     _check_labels(g, y)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if pairing == "edges":
-        pairs = _undirected_edge_iter(g)
-    elif pairing == "random_pairs":
-        pairs = _random_pairs(g.n, n_pairs, rng)
-    elif pairing == "balanced":
-        edges = _undirected_edge_iter(g)
-        non = _random_non_edges(g, edges.shape[0], rng)
-        pairs = np.concatenate([edges, non], axis=0)
-    else:
-        raise ValueError(f"unknown pairing {pairing!r}")
+    pairs = _undirected_edge_iter(g)
     if pairs.shape[0] < 2:
         raise ValueError("need at least 2 pairs")
-    sims = np.array([sim(X[int(u)], X[int(v)]) for u, v in pairs])
+    X = np.asarray(X, dtype=np.float64)
+    ru, rv = X[pairs[:, 0]][:, None, :], X[pairs[:, 1]][:, None, :]  # (p, 1, f)
+    cu, cv = np.swapaxes(ru, 1, 2), np.swapaxes(rv, 1, 2)  # (p, f, 1)
+    dots = (ru @ cv)[:, 0, 0]
+    nu = np.sqrt(ru @ cu)[:, 0, 0]
+    nv = np.sqrt(rv @ cv)[:, 0, 0]
+    zero = (nu == 0.0) | (nv == 0.0)
+    sims = np.where(zero, 0.0, dots / np.where(zero, 1.0, nu * nv))
     match = (y[pairs[:, 0]] == y[pairs[:, 1]]).astype(np.float64)
     return pearson(sims, match)
-
-
-def _random_pairs(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    if n < 2:
-        raise ValueError("need at least 2 nodes")
-    u = rng.integers(0, n, size=k)
-    v = rng.integers(0, n - 1, size=k)
-    v = np.where(v >= u, v + 1, v)  # avoid u == v without rejection
-    return np.column_stack([u, v]).astype(np.int64)
-
-def _random_non_edges(g: Graph, k: int, rng: np.random.Generator) -> np.ndarray:
-    out = []
-    attempts = 0
-    while len(out) < k and attempts < 100 * max(k, 1):
-        attempts += 1
-        u = int(rng.integers(0, g.n))
-        v = int(rng.integers(0, g.n))
-        if u != v and not g.has_edge(u, v):
-            out.append((u, v))
-    return np.asarray(out, dtype=np.int64).reshape(-1, 2)
 
 
 @dataclass
@@ -316,9 +285,7 @@ def local_histogram(local: np.ndarray, buckets: int = HISTOGRAM_BUCKETS) -> list
     return np.bincount(idx, minlength=buckets).tolist()
 
 
-def homophily_report(
-    g: Graph, y: np.ndarray, X: np.ndarray | None = None, sim=None
-) -> HomophilyReport:
+def homophily_report(g: Graph, y: np.ndarray, X: np.ndarray | None = None) -> HomophilyReport:
     flags = []
     local = local_homophily_values(g, y)
     isolated = int(np.isnan(local).sum())
@@ -353,9 +320,9 @@ def homophily_report(
         histogram=local_histogram(local),
         flags=flags,
     )
-    if X is not None and sim is not None:
+    if X is not None:
         try:
-            report.feature_label_r = feature_label_correlation(g, X, y, sim)
+            report.feature_label_r = feature_label_correlation(g, X, y)
         except ValueError as exc:
             flags.append(f"feature_label_r_unavailable:{exc}")
     return report

@@ -360,13 +360,14 @@ def edge_weights_from_table(g: Graph, rt: RankTable) -> np.ndarray:
 class DisjointCollection:
     """Edge-disjoint forests plus the residual, which is always last.
 
-    Part edge sets partition the parent's undirected edge set (each
-    part stores one canonical direction per edge). Forest weights are
+    Each part is (edges, weight): edges are parent-space (u, v) pairs
+    with u <= v, one per undirected edge, in ascending order. Part edge
+    sets partition the parent's undirected edge set. Forest weights are
     floored at k * 1e-3; the residual weight is exactly 0.
     """
 
     parent: Graph
-    parts: list[tuple[Subgraph, float]]
+    parts: list[tuple[np.ndarray, float]]
     flags: list[str]
 
     @property
@@ -375,9 +376,7 @@ class DisjointCollection:
 
     def part_edges(self, i: int) -> np.ndarray:
         """Part i's edges as (m, 2) parent-space canonical pairs."""
-        sub = self.parts[i][0]
-        local = sub.graph.edge_array()
-        return sub.parent_ids[local] if local.size else local
+        return self.parts[i][0]
 
 
 def _canonical_undirected(g: Graph, edge_weights: np.ndarray):
@@ -430,29 +429,24 @@ def disjoint_decompose(
     flags: list[str] = []
     floor = k_parts * 1e-3
 
-    forest_edge_sets: list[np.ndarray] = []
-    forest_weights: list[float] = []
+    def edges_at(idx: np.ndarray) -> np.ndarray:
+        # the canonical edges ascend, so sorted indices give ascending pairs
+        idx = np.sort(idx)
+        return np.stack([us[idx], vs[idx]], axis=1)
+
+    parts: list[tuple[np.ndarray, float]] = []
     for _ in range(k_parts):
         pos = np.flatnonzero(alive)
         if pos.size == 0:
-            flags.append(f"exhausted_after={len(forest_edge_sets)}")
+            flags.append(f"exhausted_after={len(parts)}")
             break
         pos = pos[_boruvka_forest(g.n, su[pos], sv[pos])]
         alive[pos] = False
         # ascending positions are Kruskal's acceptance order, so the sum
         # adds the same terms in the same order
         idx = order[pos]
-        forest_edge_sets.append(idx)
-        forest_weights.append(max(float(ws[idx].sum()), floor))
-
-    residual_idx = np.sort(order[alive | loops])
-
-    parts: list[tuple[Subgraph, float]] = []
-    for idx, weight in zip(forest_edge_sets, forest_weights):
-        edges = np.stack([us[idx], vs[idx]], axis=1)
-        parts.append((build_subgraph(g, [], edges), weight))
-    res_edges = np.stack([us[residual_idx], vs[residual_idx]], axis=1)
-    parts.append((build_subgraph(g, [], res_edges), 0.0))
+        parts.append((edges_at(idx), max(float(ws[idx].sum()), floor)))
+    parts.append((edges_at(order[alive | loops]), 0.0))
     return DisjointCollection(parent=g, parts=parts, flags=flags)
 
 

@@ -29,7 +29,11 @@ MODEL_VERSION = 1
 
 
 def cosine(xu: np.ndarray, xv: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; either vector all-zero gives 0."""
+    """Cosine similarity in [-1, 1]; either vector all-zero gives 0.
+
+    The scalar reference for the array pass of
+    ``metrics.feature_label_correlation``.
+    """
     xu = np.asarray(xu, dtype=np.float64)
     xv = np.asarray(xv, dtype=np.float64)
     nu = float(np.linalg.norm(xu))

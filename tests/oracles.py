@@ -661,6 +661,29 @@ def uniformity_loop(g, y, crit):
     return passes / g.n, auto_fail
 
 
+def feature_label_r_loop(g, x, y):
+    """Pearson r of per-pair ``similarity.cosine`` against label match.
+
+    The pairs are the graph's edges, one direction per undirected edge
+    (u <= v) or every stored edge of a directed graph, scored one pair at
+    a time the way the correlation was computed before one array pass.
+    """
+    from ags.metrics import pearson
+    from ags.similarity import cosine
+
+    pairs = [
+        (u, int(v))
+        for u in range(g.n)
+        for v in g.neighbors(u)
+        if g.directed or u <= v
+    ]
+    if len(pairs) < 2:
+        raise ValueError("need at least 2 pairs")
+    sims = np.array([cosine(x[u], x[v]) for u, v in pairs])
+    match = np.array([float(y[u] == y[v]) for u, v in pairs])
+    return pearson(sims, match)
+
+
 # -------------------------------------------------------------- loaders
 #
 # Line-by-line text-mode loops, the way the loaders parsed their files

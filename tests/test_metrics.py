@@ -316,51 +316,27 @@ class TestHandAnchors:
         assert M.chi2_critical_95(40) > M.chi2_critical_95(31)
 
 
-def cosine(a, b):
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        return 0.0
-    return float(a @ b / (na * nb))
-
-
 class TestFeatureLabelCorrelation:
     def test_one_hot_features_perfect(self):
         g = G.from_edges(4, [0, 1, 2], [1, 2, 3], directed=False)
         y = np.array([0, 0, 1, 1])
         X = np.eye(2)[y]
-        r = M.feature_label_correlation(g, X, y, cosine, pairing="edges")
+        r = M.feature_label_correlation(g, X, y)
         assert r == pytest.approx(1.0)
-
-    def test_independent_features_near_zero(self):
-        rng = np.random.default_rng(5)
-        n = 400
-        g = G.from_edges(n, [0], [1], directed=False)
-        y = rng.integers(0, 2, size=n)
-        X = rng.normal(size=(n, 8))
-        r = M.feature_label_correlation(
-            g, X, y, cosine, pairing="random_pairs", n_pairs=10000,
-            rng=np.random.default_rng(6))
-        assert abs(r) < 0.05
 
     def test_constant_similarity_errors(self):
         g = G.from_edges(3, [0, 1], [1, 2], directed=False)
         y = np.array([0, 1, 0])
         X = np.ones((3, 2))
         with pytest.raises(ValueError, match="variance"):
-            M.feature_label_correlation(g, X, y, cosine, pairing="edges")
+            M.feature_label_correlation(g, X, y)
 
-    def test_balanced_pairing_mixes_non_edges(self):
-        rng = np.random.default_rng(9)
-        n = 50
-        src = rng.integers(0, n, size=60)
-        dst = rng.integers(0, n, size=60)
-        keep = src != dst
-        g = G.from_edges(n, src[keep], dst[keep], directed=False)
-        y = rng.integers(0, 2, size=n)
-        X = np.eye(2)[y] + 0.01 * rng.normal(size=(n, 2))
-        r = M.feature_label_correlation(
-            g, X, y, cosine, pairing="balanced", rng=np.random.default_rng(10))
-        assert 0.9 < r <= 1.0
+    def test_single_pair_flagged_in_report(self):
+        g = G.from_edges(3, [0], [1], directed=False)
+        y = np.array([0, 1, 0])
+        rep = M.homophily_report(g, y, np.eye(3))
+        assert rep.feature_label_r is None
+        assert "feature_label_r_unavailable:need at least 2 pairs" in rep.flags
 
 
 class TestReport:
@@ -464,9 +440,22 @@ class TestLoopEquality:
                     M.uniformity_score(g, y)
             assert bits(M.homophily_report(g, y).to_dict()) == bits(loop_report(g, y, monkeypatch))
 
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("f", [1, 7, 64])
+    def test_feature_label_r(self, f, directed):
+        for seed in range(3):
+            g, y = differential_graph(3, seed, directed)
+            rng = np.random.default_rng([f, seed])
+            x = rng.normal(size=(g.n, f))
+            x[rng.random(g.n) < 0.1] = 0.0  # all-zero rows score 0.0
+            x[:20] *= 1e-150  # tiny rows: squared norms near 1e-300
+            ref = O.feature_label_r_loop(g, x, y)
+            assert bits(M.feature_label_correlation(g, x, y)) == bits(ref)
+            assert bits(M.homophily_report(g, y, x).feature_label_r) == bits(ref)
+
 
 def _cosine_measure(g, y):
-    return M.feature_label_correlation(g, np.eye(4), y, cosine)
+    return M.feature_label_correlation(g, np.eye(4), y)
 
 
 class TestLabelLength:

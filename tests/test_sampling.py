@@ -837,8 +837,8 @@ class TestPinnedSamplerDigest:
         walk_seeds = np.concatenate([seeds, seeds[:20]])
         put_sub(SA.weighted_random_walk(g, rt, walk_seeds, 12, SA.rng_for(4)))
         col = SA.disjoint_decompose(g, SA.edge_weights_from_table(g, rt), 3)
-        for sub, weight in col.parts:
-            put_sub(sub)
+        for edges, weight in col.parts:
+            put_sub(G.build_subgraph(g, [], edges))
             put(np.float64(weight))
         put_sub(SA.disjoint_subgraph_sample(col, 2, 0.3, SA.rng_for(5)))
         assert h.hexdigest() == self.DIGEST
