@@ -229,18 +229,19 @@ def feature_label_correlation(g: Graph, X: np.ndarray, y: np.ndarray) -> float:
     Every cosine has the bits of ``similarity.cosine`` on that pair: the
     dots and squared norms are stacked (1, f) @ (f, 1) products, the
     dot product np.linalg.norm takes, and a pair with an all-zero row
-    scores 0.0.
+    scores 0.0. X is read as a C-ordered copy when it is not one, so the
+    result does not depend on its memory layout.
     """
     _check_labels(g, y)
     pairs = _undirected_edge_iter(g)
     if pairs.shape[0] < 2:
         raise ValueError("need at least 2 pairs")
-    X = np.asarray(X, dtype=np.float64)
-    ru, rv = X[pairs[:, 0]][:, None, :], X[pairs[:, 1]][:, None, :]  # (p, 1, f)
-    cu, cv = np.swapaxes(ru, 1, 2), np.swapaxes(rv, 1, 2)  # (p, f, 1)
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    nrm = np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])  # one per node
+    nu, nv = nrm[pairs[:, 0]], nrm[pairs[:, 1]]
+    ru = X[pairs[:, 0]][:, None, :]  # (p, 1, f)
+    cv = X[pairs[:, 1]][:, :, None]  # (p, f, 1)
     dots = (ru @ cv)[:, 0, 0]
-    nu = np.sqrt(ru @ cu)[:, 0, 0]
-    nv = np.sqrt(rv @ cv)[:, 0, 0]
     zero = (nu == 0.0) | (nv == 0.0)
     sims = np.where(zero, 0.0, dots / np.where(zero, 1.0, nu * nv))
     match = (y[pairs[:, 0]] == y[pairs[:, 1]]).astype(np.float64)

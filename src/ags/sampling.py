@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, RankTable, Subgraph, build_subgraph, unique_ids
+from .graph import Graph, RankTable, Subgraph, _frozen, build_subgraph, unique_ids
 
 
 def rng_for(seed: int, *stream: int) -> np.random.Generator:
@@ -375,7 +375,7 @@ class DisjointCollection:
         return len(self.parts) - 1
 
     def part_edges(self, i: int) -> np.ndarray:
-        """Part i's edges as (m, 2) parent-space canonical pairs."""
+        """Part i's edges as read-only (m, 2) parent-space canonical pairs."""
         return self.parts[i][0]
 
 
@@ -430,9 +430,10 @@ def disjoint_decompose(
     floor = k_parts * 1e-3
 
     def edges_at(idx: np.ndarray) -> np.ndarray:
-        # the canonical edges ascend, so sorted indices give ascending pairs
+        # the canonical edges ascend, so sorted indices give ascending pairs;
+        # read-only, since part_edges hands out the stored array
         idx = np.sort(idx)
-        return np.stack([us[idx], vs[idx]], axis=1)
+        return _frozen(np.stack([us[idx], vs[idx]], axis=1))
 
     parts: list[tuple[np.ndarray, float]] = []
     for _ in range(k_parts):

@@ -453,6 +453,14 @@ class TestLoopEquality:
             assert bits(M.feature_label_correlation(g, x, y)) == bits(ref)
             assert bits(M.homophily_report(g, y, x).feature_label_r) == bits(ref)
 
+    @pytest.mark.parametrize("f", [5, 16])
+    def test_feature_label_r_ignores_layout(self, f):
+        g, y = differential_graph(3, 0, False)
+        wide = np.random.default_rng(f).normal(size=(g.n, 2 * f))
+        ref = M.feature_label_correlation(g, np.ascontiguousarray(wide[:, :f]), y)
+        for x in (wide[:, :f], np.asfortranarray(wide[:, :f])):
+            assert bits(M.feature_label_correlation(g, x, y)) == bits(ref)
+
 
 def _cosine_measure(g, y):
     return M.feature_label_correlation(g, np.eye(4), y)

@@ -468,6 +468,13 @@ class TestDisjointDecompose:
         assert col.flags == []
         assert col.parts[-1][1] == 0.0
 
+    def test_part_edges_read_only(self):
+        g = G.from_edges(4, [0, 1, 2, 3], [1, 2, 3, 0], directed=False)
+        col = SA.disjoint_decompose(g, np.ones(g.m), 1)
+        for i in range(len(col.parts)):
+            with pytest.raises(ValueError, match="read-only"):
+                col.part_edges(i).sort(axis=1)
+
     def test_k4_first_forest_is_max_spanning_tree(self):
         # complete graph on 4 vertices with distinct weights
         rng = np.random.default_rng(5)
