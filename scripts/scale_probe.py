@@ -114,8 +114,12 @@ def main() -> None:
     perm = np.random.default_rng(8).permutation(N)
     split = (np.sort(perm[:2_048]), np.sort(perm[2_048:3_048]), np.sort(perm[3_048:4_048]))
     cfg = demo.TrainConfig(fanouts=(25, 10), epochs=1, seed=9, replace=True)
-    timed("demo.train, 1 dual-channel epoch", lambda: demo.train(g, x, y, [sim, div], cfg, split=split),
-          "2,048 seeds, validation on 1,000")
+    model, _ = timed("demo.train, 1 dual-channel epoch",
+                     lambda: demo.train(g, x, y, [sim, div], cfg, split=split),
+                     "2,048 seeds, validation on 1,000")
+    median_of("demo.evaluate, 1,000 nodes", lambda: demo.evaluate(
+        model, g, x, y, [sim, div], split[2], fanouts=(25, 10), rng=np.random.default_rng(10),
+        mc_samples=3, replace=True), "fanouts 25,10, 3 MC samples")
 
 
 if __name__ == "__main__":

@@ -1,21 +1,24 @@
 """Desk-scale dual-channel neighborhood-sampled node classifier.
 
-Each channel runs mean-aggregation message passing over a sampled subgraph
-drawn from its own rank table; the seed representations of the channels are
+Each channel runs mean-aggregation message passing over the edges drawn
+from its own rank table; the seed representations of the channels are
 combined (concatenation into a linear head, or a gated skip mix) into class
-logits.  Forward, backward, and the training loop are explicit so every
-gradient can be checked against finite differences.
+logits. A channel's layer blocks come straight from its draws
+(:func:`sample_blocks`): no subgraph is built. Forward, backward, and the
+training loop are explicit so every gradient can be checked against
+finite differences.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, RankTable, Subgraph, num_classes
+from .graph import Graph, RankTable, _merge_edges, num_classes, unique_ids
 from .nn import AdamState, adam_step, micro_f1, softmax_cross_entropy
-from .sampling import node_sample_khop, rng_for
+from .sampling import khop_draws, rng_for
 
 COMBINERS = ("concat_mlp", "skip")
 
@@ -184,10 +187,10 @@ def _finish_rows(x, src, partial, start, rest) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Block:
-    """The part of the subgraph one layer computes.
+    """The part of a channel's sampled edges one layer computes.
 
     The layer reads its input h on a node set R_in and computes its output
-    on ``rows``, ascending local ids with ``rows`` a subset of R_in.
+    on ``rows``, ascending node ids with ``rows`` a subset of R_in.
     ``self_at`` holds each row's position in R_in. ``take`` and ``seg``
     list the rows' sampled out-edges in CSR order: the position in R_in of
     each edge's target and the index in ``rows`` of its source.
@@ -230,21 +233,62 @@ def receptive_blocks(g: Graph, seeds: np.ndarray, n_layers: int) -> tuple[np.nda
     return rows, blocks
 
 
-def forward_channel(
-    layers: list[SageLayer], sub: Subgraph, x: np.ndarray, return_cache: bool = False
-):
-    """Seed embeddings from mean-aggregation message passing on the subgraph.
+def sample_blocks(
+    g: Graph,
+    tables,
+    seeds,
+    fanouts,
+    rng: np.random.Generator,
+    replace: bool = False,
+) -> list[tuple[np.ndarray, list[Block]]]:
+    """One channel per table: its input ids and one block per fanout.
 
-    Each layer computes only the nodes the layer above reads
-    (:func:`receptive_blocks`): the top layer the seeds, the layer below
-    the seeds and their sampled out-neighbours, and so on down. A node's
-    aggregate is the mean of its sampled out-neighbours in the local graph,
-    or the zero vector if it has none. The cache holds one
-    ``(block, h_in, agg, z)`` per layer: the input on the block's input rows,
-    the aggregate and pre-activation on its ``rows``.
+    The draws are :func:`sampling.khop_draws`'s, so they read ``rng`` as
+    ``node_sample_khop`` does. A channel's nodes are the seeds and the
+    drawn targets, numbered by rank. Its drawn edges, merged into one
+    graph over those numbers, are expanded from the seeds by
+    :func:`receptive_blocks`, and the input ids and each block's
+    ``rows`` are mapped back to parent ids; the top block's ``rows`` are
+    the sorted seeds. Ranks keep the order of the ids, so every block
+    equals the one built on ``node_sample_khop``'s subgraph, with parent
+    ids in place of its local ones.
     """
-    inputs, blocks = receptive_blocks(sub.graph, sub.seeds_local(), len(layers))
-    h = np.asarray(x, dtype=np.float64)[sub.parent_ids[inputs]]
+    seed_arr, draws = khop_draws(g, tables, seeds, fanouts, rng, replace)
+    # every source is a seed or an earlier hop's target, so a channel
+    # reads only the slots it wrote
+    rank_of = np.empty(g.n, dtype=np.int64)
+    channels = []
+    for hops in draws:
+        src = np.concatenate([s for s, _ in hops])
+        dst = np.concatenate([t for _, t in hops])
+        ids = unique_ids(np.concatenate([seed_arr, dst]))
+        rank_of[ids] = np.arange(ids.size)
+        drawn = _merge_edges(ids.size, rank_of[src], rank_of[dst], directed=True)
+        inputs, blocks = receptive_blocks(drawn, rank_of[seed_arr], len(hops))
+        channels.append((ids[inputs], [dataclasses.replace(b, rows=ids[b.rows]) for b in blocks]))
+    return channels
+
+
+def forward_channel(
+    layers: list[SageLayer], channel, x: np.ndarray, return_cache: bool = False
+):
+    """Seed embeddings from mean-aggregation message passing on the blocks.
+
+    ``channel`` is one ``(input ids, blocks)`` pair of
+    :func:`sample_blocks`. Each layer computes only the nodes the layer
+    above reads: the top layer the seeds, the layer below the seeds and
+    their sampled out-neighbours, and so on down. A node's aggregate is
+    the mean of its sampled out-neighbours, or the zero vector if it has
+    none. The cache holds one ``(block, h_in, agg, z)`` per layer: the
+    input on the block's input rows, the aggregate and pre-activation on
+    its ``rows``.
+    """
+    inputs, blocks = channel
+    if len(blocks) != len(layers):
+        raise ValueError(
+            f"one block per layer required: {len(blocks)} blocks, {len(layers)} layers"
+        )
+    h = np.asarray(x, dtype=np.float64)[inputs]
     cache = []
     for layer, blk in zip(layers, blocks):
         if layer.w_self.shape[1] != h.shape[1]:
@@ -261,14 +305,13 @@ def forward_channel(
 
 
 def backward_channel(
-    layers: list[SageLayer], sub: Subgraph, cache, d_seeds: np.ndarray
+    layers: list[SageLayer], cache, d_seeds: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per-layer (dW_self, dW_neigh, db) for a cached channel forward.
 
     Walks the forward's blocks top-down, so each layer's gradient covers
     only the rows that layer computed. The bottom layer stops at its weight
-    gradients: nothing needs the gradient of the input features. ``sub``
-    is not read; the blocks in the cache carry the subgraph's structure.
+    gradients: nothing needs the gradient of the input features.
     """
     grads: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None]
     grads = [None] * len(layers)
@@ -292,16 +335,16 @@ def backward_channel(
 
 def forward_dual(
     model: DemoModel,
-    subs: list[Subgraph],
+    channels,
     x: np.ndarray,
     return_cache: bool = False,
 ):
-    """Class logits for the seed nodes of the per-channel subgraphs."""
-    if len(subs) != len(model.channels):
-        raise ValueError("one subgraph per channel required")
+    """Class logits for the seeds of the per-channel (input ids, blocks)."""
+    if len(channels) != len(model.channels):
+        raise ValueError("one block set per channel required")
     hs, caches = [], []
-    for layers, sub in zip(model.channels, subs):
-        h, c = forward_channel(layers, sub, x, return_cache=True)
+    for layers, channel in zip(model.channels, channels):
+        h, c = forward_channel(layers, channel, x, return_cache=True)
         hs.append(h)
         caches.append(c)
     skip_cache = None
@@ -328,9 +371,13 @@ def forward_dual(
 
 
 def backward_dual(
-    model: DemoModel, subs: list[Subgraph], cache, dlogits: np.ndarray
+    model: DemoModel, channels, cache, dlogits: np.ndarray
 ) -> list[np.ndarray]:
-    """Gradients aligned with ``model.parameters()`` order."""
+    """Gradients aligned with ``model.parameters()`` order.
+
+    ``channels`` are the ones :func:`forward_dual` was given; the blocks
+    it reads come from ``cache``.
+    """
     caches, hs, feat, skip_cache = cache
     w_o, _ = model.head
     d_head_w = dlogits.T @ feat
@@ -351,8 +398,8 @@ def backward_dual(
         width = hs[0].shape[1]
         d_hs = [d_feat[:, :width], d_feat[:, width:]]
     grads: list[np.ndarray] = []
-    for layers, sub, ch_cache, d_h in zip(model.channels, subs, caches, d_hs):
-        for dw_self, dw_neigh, db in backward_channel(layers, sub, ch_cache, d_h):
+    for layers, ch_cache, d_h in zip(model.channels, caches, d_hs):
+        for dw_self, dw_neigh, db in backward_channel(layers, ch_cache, d_h):
             grads += [dw_self, dw_neigh, db]
     if d_skip is not None:
         grads += [d_skip[0], d_skip[1]]
@@ -389,7 +436,7 @@ def predict_proba(
     """Mean class probabilities over freshly sampled neighborhoods.
 
     Returns (nodes, probs) with nodes sorted ascending; probabilities are
-    averaged over ``mc_samples`` independent subgraph draws.
+    averaged over ``mc_samples`` independent neighborhood draws.
     """
     tables = _as_tables(tables)
     nodes = np.unique(np.asarray(nodes, dtype=np.int64))
@@ -397,8 +444,8 @@ def predict_proba(
         raise ValueError("empty node set")
     probs = None
     for _ in range(mc_samples):
-        subs = node_sample_khop(g, tables, nodes, fanouts, rng, replace=replace)
-        logits = forward_dual(model, subs, x)
+        channels = sample_blocks(g, tables, nodes, fanouts, rng, replace=replace)
+        logits = forward_dual(model, channels, x)
         p = _softmax(logits)
         probs = p if probs is None else probs + p
     return nodes, probs / mc_samples
@@ -509,14 +556,14 @@ def train(
         for b0 in range(0, order.size, cfg.batch_size):
             seeds = order[b0 : b0 + cfg.batch_size]
             rng_b = rng_for(cfg.seed, _BATCH_STREAM, epoch, b0)
-            subs = node_sample_khop(g, tables, seeds, cfg.fanouts, rng_b, replace=cfg.replace)
-            logits, cache = forward_dual(model, subs, x, return_cache=True)
-            seed_parents = subs[0].parent_ids[subs[0].seeds_local()]
+            channels = sample_blocks(g, tables, seeds, cfg.fanouts, rng_b, replace=cfg.replace)
+            logits, cache = forward_dual(model, channels, x, return_cache=True)
+            seed_parents = channels[0][1][-1].rows  # the sorted seeds
             loss, dlogits = softmax_cross_entropy(logits, y[seed_parents])
             if not np.isfinite(loss):
                 aborted = True
                 break
-            grads = backward_dual(model, subs, cache, dlogits)
+            grads = backward_dual(model, channels, cache, dlogits)
             try:
                 adam_step(adam, params, grads)
             except FloatingPointError:

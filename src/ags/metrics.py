@@ -68,7 +68,11 @@ def _neighbor_label_counts(g: Graph, y: np.ndarray) -> np.ndarray:
 
 def local_homophily_values(g: Graph, y: np.ndarray) -> np.ndarray:
     """Per-node local homophily; NaN marks isolated nodes."""
-    same = _neighbor_label_counts(g, y)[np.arange(g.n), y]
+    return _local_values(g, y, _neighbor_label_counts(g, y))
+
+
+def _local_values(g: Graph, y: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    same = counts[np.arange(g.n), y]
     deg = g.degrees()
     ok = deg > 0
     out = np.full(g.n, np.nan)
@@ -120,7 +124,11 @@ def adjusted_homophily(g: Graph, y: np.ndarray) -> float:
     _check_labels(g, y)
     if g.m == 0:
         raise ValueError("graph has no edges")
-    h_e = edge_homophily(g, y)
+    return _adjusted(g, y, edge_homophily(g, y))
+
+
+def _adjusted(g: Graph, y: np.ndarray, h_e: float) -> float:
+    """Adjusted homophily of a graph with edges, given its edge homophily."""
     deg = g.degrees().astype(np.float64)
     total = deg.sum()
     c = num_classes(y)
@@ -135,7 +143,10 @@ def adjusted_homophily(g: Graph, y: np.ndarray) -> float:
 
 
 def class_insensitive_homophily(g: Graph, y: np.ndarray) -> float:
-    counts = _neighbor_label_counts(g, y)
+    return _class_insensitive(g, y, _neighbor_label_counts(g, y))
+
+
+def _class_insensitive(g: Graph, y: np.ndarray, counts: np.ndarray) -> float:
     n, c = counts.shape
     if c < 2:
         raise ValueError("need at least 2 classes")
@@ -152,7 +163,10 @@ def class_insensitive_homophily(g: Graph, y: np.ndarray) -> float:
 
 
 def entropy_score(g: Graph, y: np.ndarray) -> float:
-    counts = _neighbor_label_counts(g, y)
+    return _entropy(g, y, _neighbor_label_counts(g, y))
+
+
+def _entropy(g: Graph, y: np.ndarray, counts: np.ndarray) -> float:
     c = counts.shape[1]
     if c <= 1:
         return 0.0
@@ -180,7 +194,10 @@ def uniformity_score(g: Graph, y: np.ndarray) -> tuple[float, int]:
     Nodes with degree below c cannot pass and auto-fail; the second return
     value counts them so reports can flag it.
     """
-    counts = _neighbor_label_counts(g, y)
+    return _uniformity(g, y, _neighbor_label_counts(g, y))
+
+
+def _uniformity(g: Graph, y: np.ndarray, counts: np.ndarray) -> tuple[float, int]:
     c = counts.shape[1]
     if c < 2:
         raise ValueError("need at least 2 classes")
@@ -287,8 +304,14 @@ def local_histogram(local: np.ndarray, buckets: int = HISTOGRAM_BUCKETS) -> list
 
 
 def homophily_report(g: Graph, y: np.ndarray, X: np.ndarray | None = None) -> HomophilyReport:
+    """Every measure above, from one neighbour-label count matrix.
+
+    Each field has the bits of its standalone function, and errors come
+    in the order those functions would raise them.
+    """
     flags = []
-    local = local_homophily_values(g, y)
+    counts = _neighbor_label_counts(g, y)
+    local = _local_values(g, y, counts)
     isolated = int(np.isnan(local).sum())
     if isolated:
         flags.append(f"isolated_nodes={isolated}")
@@ -297,12 +320,15 @@ def homophily_report(g: Graph, y: np.ndarray, X: np.ndarray | None = None) -> Ho
     d_k = np.bincount(y, weights=deg, minlength=c)
     if d_k.sum() > 0 and (d_k**2).sum() / d_k.sum() ** 2 > 1.0 - 1e-15:
         flags.append("adjusted_homophily_degenerate")
-    h_adj = adjusted_homophily(g, y)
+    # edge_homophily raises "graph has no edges" exactly when
+    # adjusted_homophily would
+    h_e = edge_homophily(g, y)
+    h_adj = _adjusted(g, y, h_e)
     if h_adj < -1.0 / 3.0:
         flags.append("adjusted_below_nominal_range")
     if c >= 2:
-        h_ci = class_insensitive_homophily(g, y)
-        h_u, auto_fail = uniformity_score(g, y)
+        h_ci = _class_insensitive(g, y, counts)
+        h_u, auto_fail = _uniformity(g, y, counts)
         if auto_fail:
             flags.append(f"uniformity_auto_fail={auto_fail}")
     else:
@@ -311,10 +337,10 @@ def homophily_report(g: Graph, y: np.ndarray, X: np.ndarray | None = None) -> Ho
         flags.append("single_class")
     report = HomophilyReport(
         h_node=_mean_local(local),
-        h_edge=edge_homophily(g, y),
+        h_edge=h_e,
         h_adjusted=h_adj,
         h_class_insensitive=h_ci,
-        h_entropy=entropy_score(g, y),
+        h_entropy=_entropy(g, y, counts),
         h_uniformity=h_u,
         assortativity=degree_assortativity(g),
         local=local,

@@ -261,25 +261,25 @@ def sample_neighbors(
     return sample_frontier(rt, np.array([u], dtype=np.int64), k, replace, rng)[1]
 
 
-def node_sample_khop(
+def khop_draws(
     g: Graph,
     tables,
     seeds,
     fanouts,
     rng: np.random.Generator,
     replace: bool = False,
-):
-    """Layered fanout expansion from the seeds, one subgraph per table.
+) -> tuple[np.ndarray, list[list[tuple[np.ndarray, np.ndarray]]]]:
+    """The hop loop of layered fanout expansion, in parent ids.
 
-    Each layer samples ``fanouts[i]`` neighbors of every frontier vertex
-    in one frontier-wide draw (frontier in ascending id order, so draws
-    are reproducible) and the next frontier is the set of newly drawn
-    targets. Every sampled edge is recorded with its layer. Passing two
-    tables expands two channels over the same seed set, one after the
-    other.
+    Returns ``(seeds, draws)``: the sorted distinct seeds, and per table
+    the per-hop ``(sources, targets)`` of every sampled edge. Hop i
+    samples ``fanouts[i]`` neighbors of every frontier vertex in one
+    frontier-wide draw (frontier in ascending id order, so draws are
+    reproducible) and the next frontier is the set of drawn targets.
+    Tables are expanded one after the other over the same seeds, from
+    the one generator.
     """
-    single = isinstance(tables, RankTable)
-    tabs = [tables] if single else list(tables)
+    tabs = [tables] if isinstance(tables, RankTable) else list(tables)
     if not 1 <= len(tabs) <= 2:
         raise ValueError("expected one or two rank tables")
     for rt in tabs:
@@ -293,17 +293,38 @@ def node_sample_khop(
     if any(f < 1 for f in fanouts):
         raise ValueError("fanouts must be positive")
 
-    outs = []
+    draws = []
     for rt in tabs:
         frontier = seed_arr
-        layers = []
+        hops = []
         for k in fanouts:
             which, picks = sample_frontier(rt, frontier, k, replace, rng)
-            layers.append(np.stack([frontier[which], picks], axis=1))
+            hops.append((frontier[which], picks))
             frontier = unique_ids(picks)
-        edges = np.concatenate(layers)
-        outs.append(build_subgraph(g, seed_arr, edges, layers=layers))
-    return outs[0] if single else outs
+        draws.append(hops)
+    return seed_arr, draws
+
+
+def node_sample_khop(
+    g: Graph,
+    tables,
+    seeds,
+    fanouts,
+    rng: np.random.Generator,
+    replace: bool = False,
+):
+    """Layered fanout expansion from the seeds, one subgraph per table.
+
+    The draws are :func:`khop_draws`'s. Every sampled edge is recorded
+    with its layer. Passing two tables expands two channels over the
+    same seed set, one after the other, and returns a list.
+    """
+    seed_arr, draws = khop_draws(g, tables, seeds, fanouts, rng, replace)
+    outs = []
+    for hops in draws:
+        layers = [np.stack(hop, axis=1) for hop in hops]
+        outs.append(build_subgraph(g, seed_arr, np.concatenate(layers), layers=layers))
+    return outs[0] if isinstance(tables, RankTable) else outs
 
 
 def weighted_random_walk(

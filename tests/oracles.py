@@ -395,33 +395,34 @@ def mean_aggregate_grad_add_at(g, d_agg):
     return d_h
 
 
-def forward_channel_whole(layers, sub, x):
-    """Seed embeddings with every layer computed on every subgraph node.
+def forward_channel_whole(layers, g, seeds, x):
+    """Seed embeddings with every layer computed on every node of ``g``.
 
-    Returns (seed rows, per-layer (h, agg, z) over the whole subgraph).
+    ``g`` holds a channel's sampled edges over the parent ids and
+    ``seeds`` its sorted seeds. Returns (seed rows, per-layer (h, agg, z)
+    over the whole graph).
     """
-    g = sub.graph
-    h = np.asarray(x, dtype=np.float64)[sub.parent_ids]
+    h = np.asarray(x, dtype=np.float64)
     cache = []
     for layer in layers:
         agg = mean_aggregate_add_at(g, h)
         z = h @ layer.w_self.T + agg @ layer.w_neigh.T + layer.b
         cache.append((h, agg, z))
         h = np.maximum(z, 0.0)
-    return h[sub.seeds_local()], cache
+    return h[seeds], cache
 
 
-def backward_channel_whole(layers, sub, cache, d_seeds):
+def backward_channel_whole(layers, g, seeds, cache, d_seeds):
     """Per-layer (dW_self, dW_neigh, db) by backpropagating over every node."""
-    d_h = np.zeros((sub.n, d_seeds.shape[1]))
-    d_h[sub.seeds_local()] = d_seeds
+    d_h = np.zeros((g.n, d_seeds.shape[1]))
+    d_h[seeds] = d_seeds
     grads = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
         h_in, agg, z = cache[i]
         dz = d_h * (z > 0.0)
         grads[i] = (dz.T @ h_in, dz.T @ agg, dz.sum(axis=0))
         d_h = dz @ layers[i].w_self + mean_aggregate_grad_add_at(
-            sub.graph, dz @ layers[i].w_neigh
+            g, dz @ layers[i].w_neigh
         )
     return grads
 

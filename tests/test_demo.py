@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from oracles import (
@@ -24,12 +26,25 @@ def random_graph(seed, n=20, m=50):
     return G.from_edges(n, src, dst, directed=False)
 
 
-def full_sub(g, seeds, hops=2):
-    """Exhaustive k-hop subgraph: fanouts cover the max degree."""
-    x = np.ones((g.n, 2))
+def full_channel(g, seeds, hops=2):
+    """Exhaustive k-hop blocks: fanouts cover the max degree."""
     rt = R.rank_uniform(g)
     dmax = max(int(g.degrees().max()), 1)
-    return SA.node_sample_khop(g, rt, seeds, [dmax] * hops, SA.rng_for(0))
+    return D.sample_blocks(g, rt, seeds, [dmax] * hops, SA.rng_for(0))[0]
+
+
+def edge_graph(n, edges):
+    """The directed graph of hand-written (u, v) edges over n parent ids."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return G.from_edges(n, e[:, 0], e[:, 1], directed=True)
+
+
+def hand_channel(n, seeds, edges, n_layers=1):
+    """(input ids, blocks) of hand-written sampled edges, as sample_blocks
+    builds them from its draws: one merged edge graph, expanded from the
+    sorted seeds."""
+    seeds = np.unique(np.asarray(seeds, dtype=np.int64))
+    return D.receptive_blocks(edge_graph(n, edges), seeds, n_layers)
 
 
 def identity_layers(dim, n_layers=1):
@@ -67,18 +82,14 @@ class TestTrainConfig:
 
 class TestForwardChannel:
     def test_isolated_node_identity_weights(self):
-        g = G.from_edges(1, [], [], directed=False)
-        sub = G.build_subgraph(g, [0], [])
         x = np.array([[-1.0, 2.0]])
-        out = D.forward_channel(identity_layers(2), sub, x)
+        out = D.forward_channel(identity_layers(2), hand_channel(1, [0], []), x)
         assert np.array_equal(out, [[0.0, 2.0]])  # relu(x + aggregate of nothing)
 
     def test_empty_neighborhood_aggregates_zero(self):
         # node 0 samples node 1; node 1 samples nothing
-        g = G.from_edges(2, [0], [1], directed=False)
-        sub = G.build_subgraph(g, [0, 1], [(0, 1)])
         x = np.array([[1.0, 0.0], [0.0, 3.0]])
-        out = D.forward_channel(identity_layers(2), sub, x)
+        out = D.forward_channel(identity_layers(2), hand_channel(2, [0, 1], [(0, 1)]), x)
         assert np.array_equal(out[1], [0.0, 3.0])  # own features only
         assert np.array_equal(out[0], [1.0, 3.0])  # x0 + mean({x1})
 
@@ -93,31 +104,50 @@ class TestForwardChannel:
                 b=np.zeros(4),
             )
         ]
-        a = D.forward_channel(layers, G.build_subgraph(g, [0], edges), x)
-        b = D.forward_channel(layers, G.build_subgraph(g, [0], edges[::-1]), x)
+        a = D.forward_channel(layers, hand_channel(g.n, [0], edges), x)
+        b = D.forward_channel(layers, hand_channel(g.n, [0], edges[::-1]), x)
         assert np.array_equal(a, b)
 
     def test_mean_not_sum(self):
         # two identical neighbors must aggregate to one copy, not two
-        g = G.from_edges(3, [0, 0], [1, 2], directed=False)
-        sub = G.build_subgraph(g, [0], [(0, 1), (0, 2)])
         x = np.array([[0.0, 0.0], [2.0, 4.0], [2.0, 4.0]])
-        out = D.forward_channel(identity_layers(2), sub, x)
-        assert np.array_equal(out[sub.seeds_local()][0], [2.0, 4.0])
+        out = D.forward_channel(identity_layers(2), hand_channel(3, [0], [(0, 1), (0, 2)]), x)
+        assert np.array_equal(out, [[2.0, 4.0]])
 
     def test_width_mismatch(self):
-        g = G.from_edges(2, [0], [1], directed=False)
-        sub = G.build_subgraph(g, [0], [(0, 1)])
+        channel = hand_channel(2, [0], [(0, 1)])
         with pytest.raises(ValueError, match="width"):
-            D.forward_channel(identity_layers(3), sub, np.ones((2, 2)))
+            D.forward_channel(identity_layers(3), channel, np.ones((2, 2)))
+
+    def test_block_count_mismatch(self):
+        channel = hand_channel(2, [0], [(0, 1)], n_layers=2)
+        with pytest.raises(ValueError, match="2 blocks, 1 layers"):
+            D.forward_channel(identity_layers(2, 1), channel, np.ones((2, 2)))
 
 
-def sampled_sub(seed, replace):
+def draws_graph(g, tables, seeds, fanouts, rng, replace=False):
+    """Per table, the graph of every edge khop_draws samples, in parent ids."""
+    _, draws = SA.khop_draws(g, tables, seeds, fanouts, rng, replace)
+    return [
+        G.from_edges(
+            g.n,
+            np.concatenate([s for s, _ in hops]),
+            np.concatenate([t for _, t in hops]),
+            directed=True,
+        )
+        for hops in draws
+    ]
+
+
+def sampled_channel(seed, replace):
+    """(graph, seeds, union of the sampled edges, the builder's channel)."""
     rng = np.random.default_rng(seed)
     g = random_graph(seed, n=60, m=240)
     rt = R.rank_by_similarity(g, rng.normal(size=(g.n, 3)))
-    seeds = rng.choice(g.n, size=12, replace=False)
-    return g, SA.node_sample_khop(g, rt, seeds, [4, 3], SA.rng_for(seed), replace)
+    seeds = np.sort(rng.choice(g.n, size=12, replace=False))
+    union = draws_graph(g, rt, seeds, [4, 3], SA.rng_for(seed), replace)[0]
+    channel = D.sample_blocks(g, rt, seeds, [4, 3], SA.rng_for(seed), replace)[0]
+    return g, seeds, union, channel
 
 
 def random_layers(rng, dims):
@@ -132,7 +162,7 @@ def random_layers(rng, dims):
 
 
 def embed(ids, rows, n):
-    """(n, w) array holding ``rows`` at local ids ``ids`` and zeros elsewhere."""
+    """(n, w) array holding ``rows`` at ids ``ids`` and zeros elsewhere."""
     out = np.zeros((n, rows.shape[1]))
     out[ids] = rows
     return out
@@ -142,45 +172,43 @@ class TestAggregationOracle:
     """Segment-sum aggregation against an np.add.at scatter, to 1e-12.
 
     Each layer computes only its block's rows, so the cached inputs and
-    gradients are placed back into whole-subgraph arrays and compared
-    with the oracle's scatter over the whole local graph.
+    gradients are placed back into arrays over every parent id and
+    compared with the oracle's scatter over the graph of sampled edges.
     """
 
     @pytest.mark.parametrize("seed", range(6))
     def test_forward_and_backward_match_add_at(self, seed):
-        g, sub = sampled_sub(seed, replace=seed % 2 == 0)
+        g, seeds, union, channel = sampled_channel(seed, replace=seed % 2 == 0)
         rng = np.random.default_rng(100 + seed)
         x = rng.normal(size=(g.n, 5))
         layers = random_layers(rng, [5, 7, 6])
-        out, cache = D.forward_channel(layers, sub, x, return_cache=True)
-        inputs, _ = D.receptive_blocks(sub.graph, sub.seeds_local(), len(layers))
-        in_ids = [inputs] + [blk.rows for blk, *_ in cache[:-1]]
+        out, cache = D.forward_channel(layers, channel, x, return_cache=True)
+        in_ids = [channel[0]] + [blk.rows for blk, *_ in cache[:-1]]
         for ids, (blk, h_in, agg, _) in zip(in_ids, cache):
-            want = mean_aggregate_add_at(sub.graph, embed(ids, h_in, sub.n))
+            want = mean_aggregate_add_at(union, embed(ids, h_in, g.n))
             assert np.allclose(agg, want[blk.rows], rtol=1e-12, atol=1e-12)
 
         d_seeds = rng.normal(size=out.shape)
-        grads = D.backward_channel(layers, sub, cache, d_seeds)
-        # the same chain rule over the whole subgraph, with the oracle scatter
-        d_h = embed(sub.seeds_local(), d_seeds, sub.n)
+        grads = D.backward_channel(layers, cache, d_seeds)
+        # the same chain rule over every node, with the oracle scatter
+        d_h = embed(seeds, d_seeds, g.n)
         for i in range(len(layers) - 1, -1, -1):
             blk, h_in, agg, z = cache[i]
-            dz = np.zeros((sub.n, z.shape[1]))
+            dz = np.zeros((g.n, z.shape[1]))
             dz[blk.rows] = d_h[blk.rows] * (z > 0.0)
-            h_full = embed(in_ids[i], h_in, sub.n)
-            want = (dz.T @ h_full, dz.T @ embed(blk.rows, agg, sub.n), dz.sum(axis=0))
+            h_full = embed(in_ids[i], h_in, g.n)
+            want = (dz.T @ h_full, dz.T @ embed(blk.rows, agg, g.n), dz.sum(axis=0))
             for a, b in zip(grads[i], want):
                 assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
             d_h = dz @ layers[i].w_self + mean_aggregate_grad_add_at(
-                sub.graph, dz @ layers[i].w_neigh
+                union, dz @ layers[i].w_neigh
             )
 
     @pytest.mark.parametrize("width", [1, 16, 37, 64])
     def test_segment_sum_bytes_match_bincount(self, width):
         # both layouts: rows gathering their out-edges (forward) and
         # rows gathering the edges that point at them (backward)
-        _, sub = sampled_sub(1, replace=True)
-        g = sub.graph
+        g = sampled_channel(1, replace=True)[2]
         h = np.random.default_rng(width).normal(size=(g.n, width))
         src = np.repeat(np.arange(g.n), g.degrees())
         fwd = D._segment_sum(h, g.targets, g.degrees())
@@ -233,67 +261,64 @@ class TestAggregationOracle:
 
     def test_isolated_rows_and_empty_graph(self):
         # rows 1, 2 and 4 aggregate nothing; row 3 aggregates its self-loop
-        g = G.from_edges(5, [0, 0, 3], [1, 2, 3], directed=True)
-        sub = G.build_subgraph(g, [0, 3, 4], g.edge_array())
-        x = np.random.default_rng(1).normal(size=(g.n, 3))
+        edges = [(0, 1), (0, 2), (3, 3)]
+        channel = hand_channel(5, [0, 3, 4], edges)
+        x = np.random.default_rng(1).normal(size=(5, 3))
         layers = [D.SageLayer(np.eye(3), np.eye(3), np.zeros(3))]
-        _, cache = D.forward_channel(layers, sub, x, return_cache=True)
+        _, cache = D.forward_channel(layers, channel, x, return_cache=True)
         blk, h_in, agg, _ = cache[0]
-        inputs, _ = D.receptive_blocks(sub.graph, sub.seeds_local(), 1)
-        want = mean_aggregate_add_at(sub.graph, embed(inputs, h_in, sub.n))
+        want = mean_aggregate_add_at(edge_graph(5, edges), embed(channel[0], h_in, 5))
         assert np.allclose(agg, want[blk.rows], rtol=1e-12, atol=1e-12)
-        empty = G.build_subgraph(g, [4], [])
+        empty = hand_channel(5, [4], [])
         out = D.forward_channel(layers, empty, np.ones((5, 3)))
         assert np.array_equal(out, np.ones((1, 3)))
 
 
-def hop_closure(sub, hops):
-    """Sorted local ids within ``hops`` out-hops of the seeds, by BFS."""
-    reach = set(sub.seeds_local().tolist())
+def hop_closure(graph, seeds, hops):
+    """Sorted ids within ``hops`` out-hops of the seeds, by BFS."""
+    reach = {int(u) for u in seeds}
     frontier = set(reach)
     for _ in range(hops):
-        frontier = {int(v) for u in frontier for v in sub.graph.neighbors(u)} - reach
+        frontier = {int(v) for u in frontier for v in graph.neighbors(u)} - reach
         reach |= frontier
     return np.array(sorted(reach), dtype=np.int64)
 
 
-def case_sub(case, n_layers):
-    """(graph, subgraph) for one named oracle case, with its property checked."""
-    if case in ("sampled_replace", "sampled_distinct"):
-        rng = np.random.default_rng(n_layers)
-        g = random_graph(n_layers, n=60, m=240)
-        rt = R.rank_by_similarity(g, rng.normal(size=(g.n, 3)))
-        seeds = rng.choice(g.n, size=12, replace=False)
-        sub = SA.node_sample_khop(
-            g, rt, seeds, [4, 3, 2][:n_layers], SA.rng_for(n_layers),
-            case == "sampled_replace",
-        )
-        return g, sub
+def case_channel(case, n_layers):
+    """(graph, sampled-edge graph, sorted seeds, channel) for one named
+    oracle case, with its property checked. Sampled cases run the
+    builder; hand-written ones expand their edges as it does."""
+    if case in ("sampled_replace", "sampled_distinct", "single_seed"):
+        if case == "single_seed":
+            g = random_graph(3, n=30, m=80)
+            rt, seeds, fanouts = R.rank_uniform(g), np.array([7]), [3, 3, 3]
+            replace, stream = False, 3
+        else:
+            rng = np.random.default_rng(n_layers)
+            g = random_graph(n_layers, n=60, m=240)
+            rt = R.rank_by_similarity(g, rng.normal(size=(g.n, 3)))
+            seeds = np.sort(rng.choice(g.n, size=12, replace=False))
+            fanouts, replace, stream = [4, 3, 2], case == "sampled_replace", n_layers
+        fanouts = fanouts[:n_layers]
+        union = draws_graph(g, rt, seeds, fanouts, SA.rng_for(stream), replace)[0]
+        channel = D.sample_blocks(g, rt, seeds, fanouts, SA.rng_for(stream), replace)[0]
+        return g, union, seeds, channel
     if case == "seed_is_hop_target":
         # seeds 0 and 1 draw each other; 2 draws seed 0 at the second hop
-        g = G.from_edges(5, [0, 1, 1, 2, 3], [1, 0, 2, 0, 4], directed=True)
-        sub = G.build_subgraph(g, [0, 1], g.edge_array())
-        seeds = set(sub.seeds_local().tolist())
-        assert seeds & set(sub.graph.targets.tolist())
-        return g, sub
-    if case == "lonely_seed":
+        n, seeds, edges = 5, [0, 1], [(0, 1), (1, 0), (1, 2), (2, 0), (3, 4)]
+        assert {0, 1} & {v for _, v in edges}
+    elif case == "lonely_seed":
         # seed 3 drew no neighbours
-        g = G.from_edges(5, [0, 1, 2], [1, 2, 4], directed=True)
-        sub = G.build_subgraph(g, [0, 3], g.edge_array())
-        assert sub.graph.degrees()[3] == 0
-        return g, sub
-    if case == "self_loops":
-        g = G.from_edges(4, [0, 0, 1, 1, 2], [0, 1, 1, 2, 3], directed=True)
-        return g, G.build_subgraph(g, [0, 2], g.edge_array())
-    if case == "single_seed":
-        g = random_graph(3, n=30, m=80)
-        rt = R.rank_uniform(g)
-        sub = SA.node_sample_khop(g, rt, [7], [3, 3, 3][:n_layers], SA.rng_for(3))
-        return g, sub
-    if case == "no_edges":
-        g = G.from_edges(6, [], [], directed=True)
-        return g, G.build_subgraph(g, [1, 4, 5], [])
-    raise AssertionError(case)
+        n, seeds, edges = 5, [0, 3], [(0, 1), (1, 2), (2, 4)]
+    elif case == "self_loops":
+        n, seeds, edges = 4, [0, 2], [(0, 0), (0, 1), (1, 1), (1, 2), (2, 3)]
+    elif case == "no_edges":
+        n, seeds, edges = 6, [1, 4, 5], []
+    else:
+        raise AssertionError(case)
+    g = edge_graph(n, edges)
+    seeds = np.array(seeds)
+    return g, g, seeds, hand_channel(n, seeds, edges, n_layers)
 
 
 ORACLE_CASES = (
@@ -308,23 +333,23 @@ ORACLE_CASES = (
 
 
 class TestReceptiveFieldOracle:
-    """Pruned layers against every layer computed on every subgraph node."""
+    """Pruned layers against every layer computed on every node."""
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     @pytest.mark.parametrize("case", ORACLE_CASES)
-    def test_seed_outputs_and_grads_match_whole_subgraph(self, case, n_layers):
-        g, sub = case_sub(case, n_layers)
+    def test_seed_outputs_and_grads_match_whole_graph(self, case, n_layers):
+        g, union, seeds, channel = case_channel(case, n_layers)
         rng = np.random.default_rng(len(case) + 10 * n_layers)
         x = rng.normal(size=(g.n, 4))
         layers = random_layers(rng, [4] + [5] * n_layers)
-        out, cache = D.forward_channel(layers, sub, x, return_cache=True)
-        want, whole = oracle_forward(layers, sub, x)
-        assert out.shape == want.shape == (sub.seeds_local().size, 5)
+        out, cache = D.forward_channel(layers, channel, x, return_cache=True)
+        want, whole = oracle_forward(layers, union, seeds, x)
+        assert out.shape == want.shape == (seeds.size, 5)
         np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
 
         d_seeds = rng.normal(size=out.shape)
-        grads = D.backward_channel(layers, sub, cache, d_seeds)
-        expected = oracle_backward(layers, sub, whole, d_seeds)
+        grads = D.backward_channel(layers, cache, d_seeds)
+        expected = oracle_backward(layers, union, seeds, whole, d_seeds)
         assert len(grads) == n_layers
         for got, exp in zip(grads, expected):
             for a, b in zip(got, exp):
@@ -338,21 +363,82 @@ class TestReceptiveBlocks:
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_rows_are_seed_hop_closures(self, case, n_layers):
-        g, sub = case_sub(case, n_layers)
+        g, union, seeds, channel = case_channel(case, n_layers)
         x = np.ones((g.n, 2))
         layers = identity_layers(2, n_layers)
-        _, cache = D.forward_channel(layers, sub, x, return_cache=True)
-        assert cache[-1][3].shape[0] == sub.seeds_local().size  # one z row per seed
+        _, cache = D.forward_channel(layers, channel, x, return_cache=True)
+        assert cache[-1][3].shape[0] == seeds.size  # one z row per seed
         for i, (blk, h_in, agg, z) in enumerate(cache):
-            rows = hop_closure(sub, n_layers - 1 - i)
+            rows = hop_closure(union, seeds, n_layers - 1 - i)
             assert np.array_equal(blk.rows, rows)
             assert z.shape[0] == agg.shape[0] == rows.size
-            assert h_in.shape[0] == hop_closure(sub, n_layers - i).size
+            assert h_in.shape[0] == hop_closure(union, seeds, n_layers - i).size
 
     def test_top_layer_skips_non_seed_rows(self):
-        _, sub = sampled_sub(0, replace=False)
-        _, cache = D.forward_channel(identity_layers(2, 2), sub, np.ones((60, 2)), True)
-        assert cache[-1][3].shape[0] == sub.seeds_local().size < sub.n
+        _, seeds, _, channel = sampled_channel(0, replace=False)
+        _, cache = D.forward_channel(identity_layers(2, 2), channel, np.ones((60, 2)), True)
+        assert cache[-1][3].shape[0] == seeds.size < channel[0].size
+
+
+def self_loop_graph():
+    """Self-loops on 0, 3 and 5; node 6 isolated; seeds 0-5 adjacent."""
+    src = [0, 0, 1, 1, 2, 2, 3, 3, 4, 5, 5, 7, 8, 9]
+    dst = [0, 1, 2, 3, 3, 4, 3, 5, 5, 5, 7, 8, 9, 7]
+    return G.from_edges(10, src, dst, directed=False)
+
+
+class TestBlocksFromDraws:
+    """sample_blocks equals receptive_blocks on node_sample_khop's
+    subgraph, mapped through its parent ids, array for array."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("replace", [False, True])
+    @pytest.mark.parametrize("n_tables", [1, 2])
+    @pytest.mark.parametrize("graph", ["self_loops", "random"])
+    def test_blocks_equal_subgraph_blocks(self, graph, n_tables, replace, n_layers):
+        if graph == "self_loops":
+            # fanout 5 exceeds every degree, so draws with replacement repeat
+            g = self_loop_graph()
+            seeds, fanouts = [6, 0, 2, 3, 5, 6], [5, 5, 5]
+        else:
+            g = random_graph(40 + n_layers, n=50, m=120)
+            seeds = np.random.default_rng(n_layers).choice(g.n, size=15, replace=False)
+            fanouts = [4, 3, 2]
+        x = np.random.default_rng(7).normal(size=(g.n, 3))
+        tables = [R.rank_by_similarity(g, x), R.rank_by_diversity(g, x)][:n_tables]
+        fanouts = fanouts[:n_layers]
+        subs = SA.node_sample_khop(g, tables, seeds, fanouts, SA.rng_for(9), replace)
+        channels = D.sample_blocks(g, tables, seeds, fanouts, SA.rng_for(9), replace)
+        assert len(channels) == len(subs) == n_tables
+        for sub, (inputs, blocks) in zip(subs, channels):
+            want_inputs, want_blocks = D.receptive_blocks(sub.graph, sub.seeds_local(), n_layers)
+            assert np.array_equal(inputs, sub.parent_ids[want_inputs])
+            assert len(blocks) == n_layers
+            for got, want in zip(blocks, want_blocks):
+                assert np.array_equal(got.rows, sub.parent_ids[want.rows])
+                for name in ("self_at", "take", "seg", "lens", "denom"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert np.array_equal(blocks[-1].rows, np.unique(seeds))
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_self_loop_draws_cover_the_cases(self, n_layers):
+        # the equality test's draws on the self-loop graph, with
+        # replacement, hold self-loops, a seed drawn by a seed, a seed
+        # that draws nothing, and repeated draws of one edge
+        g = self_loop_graph()
+        x = np.random.default_rng(7).normal(size=(g.n, 3))
+        tables = [R.rank_by_similarity(g, x), R.rank_by_diversity(g, x)]
+        seeds, fanouts = [6, 0, 2, 3, 5, 6], [5, 5, 5][:n_layers]
+        _, draws = SA.khop_draws(g, tables, seeds, fanouts, SA.rng_for(9), True)
+        for hops in draws:
+            src = np.concatenate([s for s, _ in hops])
+            dst = np.concatenate([t for _, t in hops])
+            assert np.any(src == dst)
+            assert np.isin(dst, seeds).any()
+            assert 6 not in src
+            pairs = src * g.n + dst
+            assert np.unique(pairs).size < pairs.size
 
 
 class TestForwardDual:
@@ -361,11 +447,10 @@ class TestForwardDual:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(g.n, 3))
         model = D.new_model(3, hidden, n_classes, channels, 2, combiner, rng)
-        sub = full_sub(g, [0, 3, 5])
-        return g, x, model, sub
+        return g, x, model, full_channel(g, [0, 3, 5])
 
     def test_identical_channels_block_identity_doubles(self):
-        g, x, model, sub = self.build(5, hidden=3, n_classes=3)
+        g, x, model, channel = self.build(5, hidden=3, n_classes=3)
         single = D.DemoModel(
             channels=[model.channels[0]],
             combiner="concat_mlp",
@@ -378,14 +463,14 @@ class TestForwardDual:
             skip=None,
             head=(np.hstack([np.eye(3), np.eye(3)]), np.zeros(3)),
         )
-        lone = D.forward_dual(single, [sub], x)
-        both = D.forward_dual(dual, [sub, sub], x)
+        lone = D.forward_dual(single, [channel], x)
+        both = D.forward_dual(dual, [channel, channel], x)
         assert np.array_equal(both, 2.0 * lone)
 
     def test_tied_weights_reduce_to_single_channel(self):
         # identical channel inputs and tied towers: padding the head with a
         # zero block is float-exact; halving both blocks matches to rounding
-        g, x, model, sub = self.build(6, hidden=4, n_classes=3)
+        g, x, model, channel = self.build(6, hidden=4, n_classes=3)
         tower = model.channels[0]
         w = np.random.default_rng(7).normal(size=(3, 4))
         single = D.DemoModel([tower], "concat_mlp", None, (w, np.zeros(3)))
@@ -401,41 +486,39 @@ class TestForwardDual:
             None,
             (np.hstack([w / 2.0, w / 2.0]), np.zeros(3)),
         )
-        lone = D.forward_dual(single, [sub], x)
-        h_a = D.forward_channel(tower, sub, x)
-        h_b = D.forward_channel(tower, sub, x)
+        lone = D.forward_dual(single, [channel], x)
+        h_a = D.forward_channel(tower, channel, x)
+        h_b = D.forward_channel(tower, channel, x)
         assert np.array_equal(h_a, h_b)  # identical channels, bitwise
-        assert np.array_equal(D.forward_dual(padded, [sub, sub], x), lone)
+        assert np.array_equal(D.forward_dual(padded, [channel, channel], x), lone)
         np.testing.assert_allclose(
-            D.forward_dual(halved, [sub, sub], x), lone, rtol=1e-12, atol=1e-12
+            D.forward_dual(halved, [channel, channel], x), lone, rtol=1e-12, atol=1e-12
         )
 
     def test_zero_second_channel_is_inert(self):
-        g, x, model, sub = self.build(8)
+        g, x, model, channel = self.build(8)
         for layer in model.channels[1]:
             layer.w_self[:] = 0.0
             layer.w_neigh[:] = 0.0
             layer.b[:] = 0.0
-        other = full_sub(g, [1, 2, 4])
-        base = D.forward_dual(model, [sub, sub], x)
+        base = D.forward_dual(model, [channel, channel], x)
         # swap what the dead channel sees: nothing may change
-        sub2 = G.build_subgraph(g, [0, 3, 5], [])
-        swapped = D.forward_dual(model, [sub, sub2], x)
-        assert np.array_equal(base, swapped)
-        assert other is not None
+        drawn = D.sample_blocks(g, R.rank_uniform(g), [0, 3, 5], [1, 1], SA.rng_for(1))[0]
+        for other in (hand_channel(g.n, [0, 3, 5], [], 2), drawn):
+            assert np.array_equal(base, D.forward_dual(model, [channel, other], x))
 
     def test_channel_count_mismatch(self):
-        g, x, model, sub = self.build(9)
+        g, x, model, channel = self.build(9)
         with pytest.raises(ValueError, match="per channel"):
-            D.forward_dual(model, [sub], x)
+            D.forward_dual(model, [channel], x)
 
     def test_head_width_mismatch(self):
-        g, x, model, sub = self.build(10, channels=1)
+        g, x, model, channel = self.build(10, channels=1)
         bad = D.DemoModel(
             model.channels, "concat_mlp", None, (np.ones((3, 9)), np.zeros(3))
         )
         with pytest.raises(ValueError, match="head width"):
-            D.forward_dual(bad, [sub], x)
+            D.forward_dual(bad, [channel], x)
 
 
 def relu_margin(cache_pack, skip_cache):
@@ -449,7 +532,7 @@ def relu_margin(cache_pack, skip_cache):
 
 
 def grad_toy(seed, channels, combiner):
-    """Small dual/single model + subgraphs with relu margins clear of kinks."""
+    """Small dual/single model + sampled blocks with relu margins clear of kinks."""
     for attempt in range(60):
         s = seed + 1000 * attempt
         rng = np.random.default_rng(s)
@@ -459,11 +542,10 @@ def grad_toy(seed, channels, combiner):
         model = D.new_model(3, 4, 3, channels, 2, combiner, rng)
         rt = R.rank_uniform(g)
         seeds = [0, 2, 4]
-        subs = SA.node_sample_khop(g, [rt] * channels, seeds, (2, 2), SA.rng_for(s))
-        logits, cache = D.forward_dual(model, subs, x, return_cache=True)
+        sampled = D.sample_blocks(g, [rt] * channels, seeds, (2, 2), SA.rng_for(s))
+        logits, cache = D.forward_dual(model, sampled, x, return_cache=True)
         if relu_margin(cache[0], cache[3]) > 1e-4:
-            labels = y[subs[0].parent_ids[subs[0].seeds_local()]]
-            return model, subs, x, labels
+            return model, sampled, x, y[seeds]
     raise AssertionError("no kink-free toy found")
 
 
@@ -473,16 +555,16 @@ class TestGradients:
         [(1, "concat_mlp"), (2, "concat_mlp"), (2, "skip")],
     )
     def test_matches_finite_differences(self, channels, combiner):
-        model, subs, x, labels = grad_toy(11, channels, combiner)
+        model, channels, x, labels = grad_toy(11, channels, combiner)
         params = model.parameters()
 
         def loss_fn():
-            logits = D.forward_dual(model, subs, x)
+            logits = D.forward_dual(model, channels, x)
             return NN.softmax_cross_entropy(logits, labels)[0]
 
-        logits, cache = D.forward_dual(model, subs, x, return_cache=True)
+        logits, cache = D.forward_dual(model, channels, x, return_cache=True)
         loss, dlogits = NN.softmax_cross_entropy(logits, labels)
-        analytic = D.backward_dual(model, subs, cache, dlogits)
+        analytic = D.backward_dual(model, channels, cache, dlogits)
         numeric = central_difference_grads(loss_fn, params)
         err = max(
             max_relative_error(a, n) for a, n in zip(analytic, numeric)
@@ -639,3 +721,27 @@ class TestTrain:
         g, x, y, rt = self.small_setup(29)
         with pytest.raises(ValueError, match="match the graph"):
             D.train(g, x[:-1], y, rt, D.TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize(
+        "replace,digest",
+        [
+            (False, "b1b6e7c873bd4fde9027820e294d95c5b084deafb0a354297ff6b328555ff8eb"),
+            (True, "05092116ee66189e9cd6efb0c8e6f8811f1a638c5efa84dae57c2c3683dd3cc8"),
+        ],
+    )
+    def test_pinned_two_channel_run(self, replace, digest):
+        # sha256 of the trained parameters and the loss history of a
+        # small two-channel run: any change to training's bits fails here
+        g = random_graph(31, n=60, m=180)
+        rng = np.random.default_rng(31)
+        y = rng.integers(0, 3, size=g.n)
+        x = np.eye(3)[y] + 0.3 * rng.normal(size=(g.n, 3))
+        tables = [R.rank_by_similarity(g, x), R.rank_by_diversity(g, x)]
+        cfg = D.TrainConfig(hidden=6, fanouts=(4, 3), batch_size=16, epochs=4, lr=1e-2,
+                            seed=32, combiner="skip", replace=replace)
+        model, hist = D.train(g, x, y, tables, cfg)
+        h = hashlib.sha256()
+        for p in model.parameters():
+            h.update(p.tobytes())
+        h.update(np.asarray(hist["loss"]).tobytes())
+        assert h.hexdigest() == digest

@@ -363,6 +363,42 @@ class TestReport:
         assert rep.h_adjusted == 1.0
         assert "single_class" in rep.flags
 
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_fields_equal_standalone_measures(self, c, directed):
+        # one count matrix and one edge_homophily serve the whole report;
+        # each field keeps the bits of the measure called alone, on graphs
+        # with isolated nodes, self-loops and (c = 1) a single class
+        for seed in range(2):
+            g, y = differential_graph(c, seed, directed)
+            assert (g.degrees() == 0).any()
+            rep = M.homophily_report(g, y)
+            local = M.local_homophily_values(g, y)
+            assert rep.local.tobytes() == local.tobytes()
+            assert rep.histogram == M.local_histogram(local)
+            assert bits(rep.h_node) == bits(M.node_homophily(g, y))
+            assert bits(rep.h_edge) == bits(M.edge_homophily(g, y))
+            assert bits(rep.h_adjusted) == bits(M.adjusted_homophily(g, y))
+            assert bits(rep.h_entropy) == bits(M.entropy_score(g, y))
+            assert bits(rep.assortativity) == bits(M.degree_assortativity(g))
+            if c >= 2:
+                assert bits(rep.h_class_insensitive) == bits(M.class_insensitive_homophily(g, y))
+                assert bits(rep.h_uniformity) == bits(M.uniformity_score(g, y)[0])
+            else:
+                assert (rep.h_class_insensitive, rep.h_uniformity) == (1.0, 0.0)
+                for measure in (M.class_insensitive_homophily, M.uniformity_score):
+                    with pytest.raises(ValueError, match="need at least 2 classes"):
+                        measure(g, y)
+
+    @pytest.mark.parametrize("n_labels", [4, 5])
+    def test_edgeless_graph_errors(self, n_labels):
+        # label length is checked before the edge count, as by the measures
+        g = G.from_edges(4, [], [], directed=False)
+        y = np.zeros(n_labels, dtype=np.int64)
+        match = "graph has no edges" if n_labels == 4 else "labels length 5"
+        with pytest.raises(ValueError, match=match):
+            M.homophily_report(g, y)
+
     def test_report_serializable(self):
         import json
 
@@ -395,14 +431,17 @@ def differential_graph(c, seed, directed=False):
 
 
 def loop_report(g, y, monkeypatch):
-    """homophily_report assembled from the per-node loop measures."""
+    """homophily_report assembled from the per-node loop measures.
+
+    The report computes each measure from one shared count matrix, so
+    the loops stand in for those per-matrix helpers."""
     with monkeypatch.context() as mp:
-        mp.setattr(M, "local_homophily_values", O.local_homophily_loop)
-        mp.setattr(M, "class_insensitive_homophily", O.class_insensitive_loop)
-        mp.setattr(M, "entropy_score", O.entropy_loop)
+        mp.setattr(M, "_local_values", lambda g, y, counts: O.local_homophily_loop(g, y))
+        mp.setattr(M, "_class_insensitive", lambda g, y, counts: O.class_insensitive_loop(g, y))
+        mp.setattr(M, "_entropy", lambda g, y, counts: O.entropy_loop(g, y))
         mp.setattr(
-            M, "uniformity_score",
-            lambda g, y: O.uniformity_loop(g, y, M.chi2_critical_95(int(y.max()))),
+            M, "_uniformity",
+            lambda g, y, counts: O.uniformity_loop(g, y, M.chi2_critical_95(int(y.max()))),
         )
         return M.homophily_report(g, y).to_dict()
 
