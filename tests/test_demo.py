@@ -337,7 +337,7 @@ class TestReceptiveFieldOracle:
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     @pytest.mark.parametrize("case", ORACLE_CASES)
-    def test_seed_outputs_and_grads_match_whole_graph(self, case, n_layers):
+    def test_seed_outputs_and_grads_match_whole_subgraph(self, case, n_layers):
         g, union, seeds, channel = case_channel(case, n_layers)
         rng = np.random.default_rng(len(case) + 10 * n_layers)
         x = rng.normal(size=(g.n, 4))
