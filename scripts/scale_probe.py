@@ -1,4 +1,4 @@
-"""One run of each pipeline stage at paper scale (n = 100,000).
+"""One run of each pipeline stage at paper scale (n = 100,000 by default).
 
 Prints one line per stage: its wall time and the process's peak RSS so
 far. The graph is a Chung-Lu graph from ``perfbench/inputs.py`` (mean
@@ -6,7 +6,10 @@ degree 12, power-law exponent 2.3, expected degrees capped at 300) with
 5 classes and one-hot features under Gaussian noise of scale 0.6. The
 probe is a measurement, not a gate: it asserts nothing about the times.
 
-    PYTHONPATH=src python scripts/scale_probe.py
+    PYTHONPATH=src python scripts/scale_probe.py [n]
+
+n is the node count, at least 20,000 (the walk stage starts from 20,000
+distinct nodes).
 
 BLAS is pinned to one thread before numpy loads. Facility location takes
 most of the run (about 15 s on a 2-vCPU machine); the whole probe takes
@@ -21,6 +24,7 @@ import sys
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import time  # noqa: E402
@@ -34,7 +38,6 @@ import inputs  # noqa: E402
 
 from ags import demo, graph, metrics, ranking, sampling, similarity, synth  # noqa: E402
 
-N = 100_000
 MEAN_DEGREE = 12.0
 CLASSES = 5
 NOISE = 0.6
@@ -70,11 +73,14 @@ def median_of(name: str, fn, note: str = "") -> None:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description="Time each pipeline stage once at scale.")
+    parser.add_argument("n", nargs="?", type=int, default=100_000, help="node count (default 100,000)")
+    n = parser.parse_args().n
     rng = np.random.default_rng(0)
-    y = rng.integers(0, CLASSES, size=N)
+    y = rng.integers(0, CLASSES, size=n)
     x = inputs.noisy_one_hot(y, CLASSES, NOISE, rng)
-    edges = timed("inputs.chung_lu", lambda: inputs.chung_lu(N, 2.3, MEAN_DEGREE, 300.0, rng))
-    g = timed("graph.from_edges", lambda: graph.from_edges(N, edges[:, 0], edges[:, 1], directed=False))
+    edges = timed("inputs.chung_lu", lambda: inputs.chung_lu(n, 2.3, MEAN_DEGREE, 300.0, rng))
+    g = timed("graph.from_edges", lambda: graph.from_edges(n, edges[:, 0], edges[:, 1], directed=False))
     print(f"# n = {g.n}, m = {g.m} directed edges, maximum degree {int(g.degrees().max())}")
 
     timed("synth.generate_synthetic", lambda: synth.generate_synthetic(
@@ -99,19 +105,23 @@ def main() -> None:
     frontier = np.sort(np.random.default_rng(2).choice(live, size=DRAWS))
     median_of(f"{DRAWS:,} draws with replacement",
               lambda: sampling.sample_frontier(sim, frontier, 1, True, np.random.default_rng(3)))
-    walk_seeds = np.random.default_rng(4).choice(N, size=WALK_SEEDS, replace=False)
+    walk_seeds = np.random.default_rng(4).choice(n, size=WALK_SEEDS, replace=False)
     median_of(f"{WALK_SEEDS:,}-seed walk, {WALK_STEPS} steps",
               lambda: sampling.weighted_random_walk(g, sim, walk_seeds, WALK_STEPS, np.random.default_rng(5)))
-    seeds = np.random.default_rng(6).choice(N, size=2_048, replace=False)
+    seeds = np.random.default_rng(6).choice(n, size=2_048, replace=False)
     median_of("node_sample_khop 2,048 seeds, 25,10",
               lambda: sampling.node_sample_khop(g, [sim, div], seeds, [25, 10],
                                                 np.random.default_rng(7), replace=True),
               "two tables, with replacement")
+    median_of("node_sample_khop 2,048 seeds, 25,10",
+              lambda: sampling.node_sample_khop(g, [sim, div], seeds, [25, 10],
+                                                np.random.default_rng(7), replace=False),
+              "two tables, without replacement")
 
     weights = sampling.edge_weights_from_table(g, cut)
     timed("sampling.disjoint_decompose K=3", lambda: sampling.disjoint_decompose(g, weights, 3))
 
-    perm = np.random.default_rng(8).permutation(N)
+    perm = np.random.default_rng(8).permutation(n)
     split = (np.sort(perm[:2_048]), np.sort(perm[2_048:3_048]), np.sort(perm[3_048:4_048]))
     cfg = demo.TrainConfig(fanouts=(25, 10), epochs=1, seed=9, replace=True)
     model, _ = timed("demo.train, 1 dual-channel epoch",

@@ -303,6 +303,24 @@ def unique_ids(ids: np.ndarray) -> np.ndarray:
     return s
 
 
+def _packed_sort(major: np.ndarray, minor: np.ndarray, bits: int) -> np.ndarray | None:
+    """One ``np.sort`` of the int64 values ``(major << bits) | minor``.
+
+    Layout, from the top: the sign bit (always 0), ``major`` in the next
+    63 - bits bits, ``minor`` in the low ``bits`` bits. The values sort
+    by major, then minor. Both fields must be nonnegative and minor below
+    2**bits; ``minor = value & ((1 << bits) - 1)`` decodes it. Returns
+    None when major's largest value does not fit beside the sign bit, so
+    the caller can take another way.
+    """
+    if major.size and (bits > 63 or int(major.max()) >> (63 - bits)):
+        return None
+    packed = major << bits
+    packed |= minor
+    packed.sort()
+    return packed
+
+
 def build_subgraph(g: Graph, seeds, edges, layers=None) -> Subgraph:
     """Materialize sampled nodes/edges as a Subgraph with local ids.
 
@@ -435,14 +453,29 @@ class RankTable:
         permutation of g's row, i.e. the table was ranked on g.
         """
         self.check_rows(g)
-        rows = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees())
-        # one int64 key per entry orders by row, then by id; the keys of
-        # a valid table are distinct, so the sort needs no stability
-        order = np.argsort(rows * g.n + self.ranked_ids)
-        if not np.array_equal(self.ranked_ids[order], g.targets):
-            raise ValueError(
-                "rank table rows do not match the graph: a row is not a permutation of N(u)"
-            )
+        foreign = "rank table rows do not match the graph: a row is not a permutation of N(u)"
+        ids = self.ranked_ids
+        if ids.size and (ids.min() < 0 or ids.max() >= g.n):
+            raise ValueError(foreign)
+        deg = g.degrees()
+        rows = np.repeat(np.arange(g.n, dtype=np.int64), deg)
+        starts = np.repeat(g.offsets[:-1], deg)
+        # one sort of (row, id, offset in row): each row keeps its own
+        # slots, so its start plus the decoded offset is the entry
+        offset_bits = (int(deg.max(initial=0)) - 1).bit_length()
+        id_bits = (g.n - 1).bit_length()
+        minor = ids << offset_bits
+        minor += np.arange(g.m)
+        minor -= starts
+        order = _packed_sort(rows, minor, id_bits + offset_bits)
+        if order is not None:
+            order &= (1 << offset_bits) - 1
+            order += starts
+        else:
+            # the keys of a valid table are distinct, so the sort needs no stability
+            order = np.argsort(rows * g.n + ids)
+        if not np.array_equal(ids[order], g.targets):
+            raise ValueError(foreign)
         return order
 
 

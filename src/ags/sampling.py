@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, RankTable, Subgraph, _frozen, build_subgraph, unique_ids
+from .graph import Graph, RankTable, Subgraph, _frozen, _packed_sort, build_subgraph, unique_ids
 
 
 def rng_for(seed: int, *stream: int) -> np.random.Generator:
@@ -161,8 +161,12 @@ def sample_frontier(
     With replacement: k iid draws per vertex (inverse CDF). Without:
     min(k, d) distinct neighbors per vertex, the d entries of its row
     ordered by exponential keys -log(U) / p (Efraimidis and Spirakis
-    2006). Either way the generator is read vertex by vertex, in frontier
-    order, as a loop over the frontier would read it.
+    2006). One sort of packed int64 values orders every row at once
+    (``_draw_order``); when two keys of a row tie in the bits it keeps,
+    the call takes ``_lexsort_rows``'s exact order instead, so picks and
+    their order never depend on the path. Either way the generator is
+    read vertex by vertex, in frontier order, as a loop over the
+    frontier would read it.
     """
     if k < 0:
         raise ValueError("sample size must be nonnegative")
@@ -183,11 +187,45 @@ def sample_frontier(
     which = np.repeat(live, d)
     pos = np.arange(which.size) + np.repeat(lo - first, d)
     keys = -np.log(rng.random(pos.size)) / rt.probs[pos]
-    order = _lexsort_rows(keys, which)
-    # sorting keeps every row in its own slots, so slot - row start is the rank
+    # each entry's offset in its row; sorting keeps every row in its own
+    # slots, so a slot's offset is also the rank of the entry sorted there
     rank = np.arange(pos.size) - np.repeat(first, d)
-    sel = order[rank < k]
+    sel = _draw_order(keys, which, rank)[rank < k]
     return which[sel], rt.ranked_ids[pos[sel]]
+
+
+def _draw_order(keys: np.ndarray, rows: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """``_lexsort_rows(keys, rows)``, bit for bit, mostly through one packed sort.
+
+    ``rows`` ascends and ``offset`` is each entry's place in its row.
+    Every entry packs, from the top bits down, its row, the top bits of
+    its key's float64 bit pattern and its offset (``graph._packed_sort``);
+    the key field takes the bits the other two leave. Positive keys'
+    bit patterns sort as the floats do, +inf last, and each row keeps
+    its own slots, so a slot's row start plus the decoded offset is the
+    entry sorted there. When two adjacent sorted entries share their row
+    and kept key bits (an exact tie, or keys that truncation cannot tell
+    apart), when a key is not positive, or when row and offset do not
+    fit beside the sign bit, the order comes from ``_lexsort_rows``.
+    Otherwise every row's keys are distinct and the order is the unique
+    one by (row, key).
+    """
+    offset_bits = int(offset.max(initial=0)).bit_length()
+    key_bits = max(63 - int(rows.max(initial=0)).bit_length() - offset_bits, 0)
+    if np.all(keys > 0):
+        minor = keys.view(np.int64) >> (63 - key_bits)
+        minor <<= offset_bits
+        minor |= offset
+        packed = _packed_sort(rows, minor, key_bits + offset_bits)
+        if packed is not None:
+            tag = packed >> offset_bits
+            if not np.any(tag[1:] == tag[:-1]):
+                # decoded offset + slot - the slot's offset = entry sorted there
+                packed &= (1 << offset_bits) - 1
+                packed -= offset
+                packed += np.arange(keys.size)
+                return packed
+    return _lexsort_rows(keys, rows)
 
 
 def _inverse_cdf(rt: RankTable, src: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -407,8 +445,16 @@ def _canonical_undirected(g: Graph, edge_weights: np.ndarray):
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
     key = lo * g.n + hi
-    order = np.argsort(key)
-    key = key[order]
+    index_bits = (g.m - 1).bit_length()
+    packed = _packed_sort(key, np.arange(g.m), index_bits)
+    if packed is not None:
+        # one sort of (key, edge index); the keys are its top bits
+        order = packed & ((1 << index_bits) - 1)
+        packed >>= index_bits
+        key = packed
+    else:
+        order = np.argsort(key)
+        key = key[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))  # each run of one key
     # the maximum's value does not depend on the order; only the sign of
     # a zero maximum does, and forest weights are floored above zero

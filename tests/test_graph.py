@@ -783,6 +783,40 @@ class TestRankTablePersistence:
         with pytest.raises(ValueError, match="permutation"):
             rt.graph_order(g)
 
+    def test_graph_order_packed_equals_argsort(self, monkeypatch):
+        # self-loops, both edge directions, empty rows; the packed sort
+        # and the argsort it falls back to give the same permutation
+        rng = np.random.default_rng(4)
+        for trial in range(60):
+            g = fuzz_graph(rng, n_max=60, p=rng.choice([0.02, 0.2, 0.6]), directed=trial % 2 == 0)
+            rows = np.repeat(np.arange(g.n), g.degrees())
+            ranked = g.targets[np.lexsort((rng.random(g.m), rows))]
+            rt = G.make_rank_table("uniform", "uniform", (0,) * 6, g.offsets, ranked, np.ones(g.m))
+            want = np.argsort(rows * g.n + ranked)
+            assert rt.graph_order(g).tobytes() == want.tobytes()
+            with monkeypatch.context() as m:
+                m.setattr(G, "_packed_sort", lambda major, minor, bits: None)
+                assert rt.graph_order(g).tobytes() == want.tobytes()
+
+
+class TestPackedSort:
+    def test_layout_and_order(self):
+        rng = np.random.default_rng(5)
+        major = rng.integers(0, 2**20, size=500)
+        minor = rng.integers(0, 2**40, size=500)
+        got = G._packed_sort(major, minor, 40)
+        order = np.lexsort((minor, major))
+        assert np.array_equal(got >> 40, major[order])
+        assert np.array_equal(got & (2**40 - 1), minor[order])
+
+    def test_none_when_major_does_not_fit(self):
+        assert G._packed_sort(np.array([2**22]), np.array([0]), 40) is not None
+        assert G._packed_sort(np.array([2**23 - 1]), np.array([0]), 40) is not None
+        assert G._packed_sort(np.array([0, 2**23]), np.array([0, 0]), 40) is None
+        assert G._packed_sort(np.array([1]), np.array([0]), 63) is None
+        assert G._packed_sort(np.array([0]), np.array([5]), 63).tolist() == [5]
+        assert G._packed_sort(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 70).size == 0
+
 
 class TestRankTableCdf:
     def test_rows_end_at_row_plus_one(self):

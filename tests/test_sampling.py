@@ -773,6 +773,121 @@ class TestLexsortRows:
             assert np.all(np.diff(rows[got]) >= 0)
 
 
+def row_runs(labels, sizes):
+    """Entries of ascending rows ``labels`` of ``sizes`` entries each, and
+    every entry's offset in its row."""
+    rows = np.repeat(labels, sizes)
+    offset = np.arange(rows.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return rows, offset
+
+
+class TestPackedDrawOrder:
+    """``_draw_order`` gives ``_lexsort_rows``'s order byte for byte, and
+    reaches it only when the packed sort cannot decide."""
+
+    @staticmethod
+    def key_cases(rng, size):
+        base = float(rng.uniform(0.1, 5.0))
+        yield -np.log(rng.random(size))  # distinct: the packed path
+        # equal in the kept bits but not as floats
+        yield base * (1 + rng.integers(0, 4 * size + 1, size=size) * 2.0**-45)
+        yield rng.integers(1, 4, size=size) / 4.0  # exact ties
+        with_inf = -np.log(rng.random(size))
+        with_inf[rng.random(size) < 0.2] = np.inf
+        yield with_inf
+        one_inf = -np.log(rng.random(size))
+        one_inf[int(rng.integers(size))] = np.inf
+        yield one_inf
+        yield -np.log(rng.random(size)) - 1.0  # not all positive: the exact path
+
+    def test_byte_equal_fuzz(self):
+        rng = np.random.default_rng(23)
+        for trial in range(150):
+            n_rows = int(rng.integers(1, 40))
+            sizes = rng.integers(1, [2, 5, 30, 401][trial % 4], size=n_rows)
+            # row labels up to 2**44 leave the key field a few bits:
+            # neighbouring keys then share them
+            top = 2 ** int(rng.choice([6, 20, 36, 44]))
+            labels = np.sort(rng.choice(top, size=n_rows, replace=False))
+            rows, offset = row_runs(labels, sizes)
+            for keys in self.key_cases(rng, rows.size):
+                got = SA._draw_order(keys, rows, offset)
+                want = SA._lexsort_rows(keys, rows)
+                assert got.tobytes() == want.tobytes()
+                assert got.tobytes() == lexsort_rows_two_argsorts(keys, rows).tobytes()
+
+    def test_empty_and_single_entry(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert SA._draw_order(np.zeros(0), empty, empty).size == 0
+        one = np.zeros(1, dtype=np.int64)
+        assert SA._draw_order(np.ones(1), one, one).tolist() == [0]
+
+    def test_exact_path_runs_only_on_ties(self, monkeypatch):
+        exact = []
+        lexsort = SA._lexsort_rows
+
+        def counted(keys, rows):
+            exact.append(keys.size)
+            return lexsort(keys, rows)
+
+        monkeypatch.setattr(SA, "_lexsort_rows", counted)
+        rng = np.random.default_rng(24)
+        sizes = rng.integers(10, 60, size=50)
+        rows, offset = row_runs(np.arange(50), sizes)
+        SA._draw_order(-np.log(rng.random(rows.size)), rows, offset)
+        assert exact == []
+        # equal keys in different rows do not tie
+        keys = np.concatenate([rng.permutation(s) for s in sizes]) + 1.0
+        SA._draw_order(keys, rows, offset)
+        assert exact == []
+        # one pair in one row equal in the kept bits, distinct as floats
+        keys = -np.log(rng.random(rows.size))
+        keys[5] = keys[6] * (1 + 2.0**-50)
+        SA._draw_order(keys, rows, offset)
+        assert exact == [rows.size]
+
+    def test_exact_path_through_sample_frontier(self, monkeypatch):
+        class ConstantRng:
+            def random(self, size):
+                return np.full(size, 0.5)
+
+        exact = []
+        lexsort = SA._lexsort_rows
+        monkeypatch.setattr(
+            SA, "_lexsort_rows", lambda keys, rows: exact.append(1) or lexsort(keys, rows)
+        )
+        _, rt = star_table(12)  # uniform masses: a constant U ties every key
+        SA.sample_frontier(rt, [0, 1, 0], 5, False, SA.rng_for(1))
+        assert exact == []
+        which, picks = SA.sample_frontier(rt, [0, 1, 0], 5, False, ConstantRng())
+        assert exact == [1]
+        assert which.tolist() == [0] * 5 + [1] + [2] * 5
+        assert picks[5] == 0 and np.all(np.isin(picks, rt.row(0)[0]) | (which == 1))
+
+    def test_sample_frontier_matches_lexsort_draws(self, monkeypatch):
+        """Frontiers that repeat vertices, and one long enough that the
+        row field takes 17 bits, draw what the lexsort order draws."""
+        g, x = chung_lu_with_hubs()
+        rt = R.rank_by_similarity(g, x, pmf=R.PmfSpec(kind="exponential", rate=0.7))
+        rng = np.random.default_rng(25)
+        hubs = np.argsort(-g.degrees())[:5]
+        padded = np.full(2**17, int(np.flatnonzero(g.degrees() == 0)[0]))
+        padded[-40:] = rng.choice(g.n, size=40)
+        frontiers = [
+            np.sort(rng.choice(g.n, size=200)),
+            np.concatenate([hubs, hubs, rng.choice(g.n, size=30), hubs]),
+            padded,
+        ]
+        for frontier in frontiers:
+            for k in (1, 5, 400):
+                got = SA.sample_frontier(rt, frontier, k, False, SA.rng_for(k, frontier.size))
+                with monkeypatch.context() as m:
+                    m.setattr(SA, "_draw_order", lambda keys, rows, _: SA._lexsort_rows(keys, rows))
+                    want = SA.sample_frontier(rt, frontier, k, False, SA.rng_for(k, frontier.size))
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+
+
 class TestCanonicalUndirected:
     def test_matches_scatter_max(self):
         rng = np.random.default_rng(22)
@@ -795,6 +910,31 @@ class TestCanonicalUndirected:
                 ).tobytes()
                 for i in range(len(a.parts)):
                     assert np.array_equal(a.part_edges(i), b.part_edges(i))
+
+    def test_packed_sort_equals_argsort(self, monkeypatch):
+        # self-loops and both edge directions; the packed sort and the
+        # argsort it falls back to give the argsort's edges and weights
+        rng = np.random.default_rng(26)
+        for trial in range(60):
+            n = int(rng.integers(1, 80))
+            src, dst = rng.integers(0, n, size=(2, int(rng.integers(0, 6 * n))))
+            loops = rng.integers(0, n, size=int(rng.integers(0, 4)))
+            src, dst = np.concatenate([src, loops]), np.concatenate([dst, loops])
+            g = G.from_edges(n, src, dst, directed=trial % 2 == 0)
+            w = rng.random(g.m)
+            pairs = g.edge_array()
+            key = pairs.min(axis=1) * g.n + pairs.max(axis=1)
+            order = np.argsort(key)
+            first = np.flatnonzero(np.diff(key[order], prepend=-1))
+            want_u, want_v = np.divmod(key[order][first], g.n)
+            want_w = np.maximum.reduceat(w[order], first) if first.size else np.zeros(0)
+            for packed in (True, False):
+                with monkeypatch.context() as m:
+                    if not packed:
+                        m.setattr(SA, "_packed_sort", lambda major, minor, bits: None)
+                    us, vs, ws = SA._canonical_undirected(g, w)
+                assert us.tobytes() == want_u.tobytes() and vs.tobytes() == want_v.tobytes()
+                assert ws.tobytes() == want_w.tobytes()
 
     def test_edgeless_graph(self):
         g = G.from_edges(3, [], [], directed=False)
