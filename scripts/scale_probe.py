@@ -45,6 +45,7 @@ DRAWS = 8_192
 WALK_SEEDS = 20_000
 WALK_STEPS = 10
 REPEATS = 5  # the sub-second sampling stages report the median of this many calls
+CALLS = 2_000  # a call too small to time alone reports the best of REPEATS means of this many
 
 
 def peak_rss_mb() -> float:
@@ -53,7 +54,7 @@ def peak_rss_mb() -> float:
 
 def report(name: str, seconds: float, note: str = "") -> None:
     extra = f"  ({note})" if note else ""
-    print(f"{name:<34} {seconds * 1e3:10.1f} ms  peak RSS {peak_rss_mb():7.1f} MB{extra}", flush=True)
+    print(f"{name:<34} {seconds * 1e3:10.3f} ms  peak RSS {peak_rss_mb():7.1f} MB{extra}", flush=True)
 
 
 def timed(name: str, fn, note: str = ""):
@@ -70,6 +71,16 @@ def median_of(name: str, fn, note: str = "") -> None:
         fn()
         times.append(time.perf_counter() - t0)
     report(name, statistics.median(times), f"median of {REPEATS}" + (f", {note}" if note else ""))
+
+
+def per_call(name: str, fn, note: str) -> None:
+    means = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(CALLS):
+            fn()
+        means.append((time.perf_counter() - t0) / CALLS)
+    report(name, min(means), f"best of {REPEATS} means of {CALLS:,} calls, {note}")
 
 
 def main() -> None:
@@ -101,6 +112,14 @@ def main() -> None:
     median_of("table construction", lambda: graph.make_rank_table(
         sim.mode, sim.pmf_kind, sim.pmf_params, sim.offsets, sim.ranked_ids, sim.probs),
         "derived sampling arrays from the masses")
+    # fixed costs: a call this small shows what it pays per parent node
+    u = int(np.argmax(g.degrees() > 0))
+    v = int(g.neighbors(u)[0])
+    per_call("graph.build_subgraph, one edge", lambda: graph.build_subgraph(g, [u], [(u, v)]),
+             "one seed")
+    per_call("weighted_random_walk, one seed",
+             lambda: sampling.weighted_random_walk(g, sim, [u], 1, np.random.default_rng(11)),
+             "one step")
     live = np.flatnonzero(g.degrees() > 0)
     frontier = np.sort(np.random.default_rng(2).choice(live, size=DRAWS))
     median_of(f"{DRAWS:,} draws with replacement",

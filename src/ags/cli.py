@@ -375,7 +375,7 @@ def cmd_train_demo(ns, ctx) -> dict:
 
 
 def _bench_one_size(n: int, degree: float, seed: int) -> dict:
-    """Timings for one synthetic size; zero work for an empty graph."""
+    """Similarity-ranking time for one synthetic size; an empty graph at n = 0."""
     row: dict = {"n": n}
     if n == 0:
         g = from_edges(0, [], [], directed=False)
@@ -392,33 +392,9 @@ def _bench_one_size(n: int, degree: float, seed: int) -> dict:
     times = []
     for _ in range(5):
         t0 = time.perf_counter()
-        rt_sim = ranking.rank_by_similarity(g, x)
+        ranking.rank_by_similarity(g, x)
         times.append(time.perf_counter() - t0)
     row["t_rank_similar_s"] = min(times)
-
-    t0 = time.perf_counter()
-    ranking.rank_by_diversity(g, x)
-    row["t_rank_diverse_s"] = time.perf_counter() - t0
-
-    if n > 0:
-        y_arr = np.asarray(g.degrees() > 0, dtype=np.int64)
-        cfg = similarity.SiameseConfig(h1=16, h2=8, batch_pairs=512, epochs=3, seed=seed)
-        t0 = time.perf_counter()
-        similarity.train_similarity(g, x, y_arr, cfg)
-        row["t_learn_s"] = time.perf_counter() - t0
-
-        seeds = np.arange(min(256, n))
-        t0 = time.perf_counter()
-        sampling.node_sample_khop(
-            g, rt_sim, seeds, [8, 4], sampling.rng_for(seed, _STREAM_BENCH, n, 1)
-        )
-        dt = time.perf_counter() - t0
-        row["t_sample_batch_s"] = dt
-        row["sample_seeds_per_s"] = seeds.size / dt if dt > 0 else 0.0
-    else:
-        row["t_learn_s"] = 0.0
-        row["t_sample_batch_s"] = 0.0
-        row["sample_seeds_per_s"] = 0.0
     return row
 
 

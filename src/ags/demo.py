@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, RankTable, _merge_edges, num_classes, unique_ids
+from .graph import Graph, _number_sample, num_classes
 from .nn import AdamState, adam_step, micro_f1, softmax_cross_entropy
-from .sampling import khop_draws, rng_for
+from .sampling import _as_tables, khop_draws, rng_for
 
 COMBINERS = ("concat_mlp", "skip")
 
@@ -244,27 +244,19 @@ def sample_blocks(
     """One channel per table: its input ids and one block per fanout.
 
     The draws are :func:`sampling.khop_draws`'s, so they read ``rng`` as
-    ``node_sample_khop`` does. A channel's nodes are the seeds and the
-    drawn targets, numbered by rank. Its drawn edges, merged into one
-    graph over those numbers, are expanded from the seeds by
-    :func:`receptive_blocks`, and the input ids and each block's
-    ``rows`` are mapped back to parent ids; the top block's ``rows`` are
-    the sorted seeds. Ranks keep the order of the ids, so every block
-    equals the one built on ``node_sample_khop``'s subgraph, with parent
-    ids in place of its local ones.
+    ``node_sample_khop`` does, and ``graph._number_sample`` numbers and
+    merges each channel's draws, as it does ``node_sample_khop``'s. The
+    merged graph is expanded from the seeds by :func:`receptive_blocks`,
+    and the input ids and each block's ``rows`` are mapped back to
+    parent ids; the top block's ``rows`` are the sorted seeds. So every
+    block equals the one built on ``node_sample_khop``'s subgraph, with
+    parent ids in place of its local ones.
     """
     seed_arr, draws = khop_draws(g, tables, seeds, fanouts, rng, replace)
-    # every source is a seed or an earlier hop's target, so a channel
-    # reads only the slots it wrote
-    rank_of = np.empty(g.n, dtype=np.int64)
     channels = []
     for hops in draws:
-        src = np.concatenate([s for s, _ in hops])
-        dst = np.concatenate([t for _, t in hops])
-        ids = unique_ids(np.concatenate([seed_arr, dst]))
-        rank_of[ids] = np.arange(ids.size)
-        drawn = _merge_edges(ids.size, rank_of[src], rank_of[dst], directed=True)
-        inputs, blocks = receptive_blocks(drawn, rank_of[seed_arr], len(hops))
+        ids, local_seeds, _, drawn = _number_sample(g.n, seed_arr, hops)
+        inputs, blocks = receptive_blocks(drawn, local_seeds, len(hops))
         channels.append((ids[inputs], [dataclasses.replace(b, rows=ids[b.rows]) for b in blocks]))
     return channels
 
@@ -411,15 +403,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def _as_tables(tables) -> list[RankTable]:
-    if isinstance(tables, RankTable):
-        return [tables]
-    out = list(tables)
-    if not 1 <= len(out) <= 2:
-        raise ValueError("expected one or two rank tables")
-    return out
 
 
 def predict_proba(

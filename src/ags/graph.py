@@ -321,46 +321,59 @@ def _packed_sort(major: np.ndarray, minor: np.ndarray, bits: int) -> np.ndarray 
     return packed
 
 
-def build_subgraph(g: Graph, seeds, edges, layers=None) -> Subgraph:
+def _number_sample(n: int, seeds: np.ndarray, hops) -> tuple:
+    """Number a drawn sample's nodes once: ``(ids, local seeds, local hops, graph)``.
+
+    ``hops`` lists per-hop ``(sources, targets)`` int64 arrays of ids in
+    [0, n), and every source must be a seed or a target of some hop, as
+    a k-hop frontier or a walk's current vertex is. The nodes are the
+    seeds and the targets; ``ids`` holds them ascending, and a node's
+    local id is its position there. The local hops are the hops in local
+    ids, and ``graph`` merges them into one directed CSR graph over
+    ``ids.size`` nodes.
+    """
+    # seeds[:0] makes an empty list of hops give empty int64 arrays
+    src = np.concatenate([seeds[:0], *(s for s, _ in hops)])
+    dst = np.concatenate([seeds[:0], *(t for _, t in hops)])
+    ids = unique_ids(np.concatenate([seeds, dst]))
+    # every id looked up below is in ids, so no unwritten slot is read
+    local_of = np.empty(n, dtype=np.int64)
+    local_of[ids] = np.arange(ids.size)
+    src, dst = local_of[src], local_of[dst]
+    local_hops, at = [], 0
+    for _, t in hops:
+        local_hops.append((src[at : at + t.size], dst[at : at + t.size]))
+        at += t.size
+    graph = _merge_edges(ids.size, src, dst, directed=True)
+    return ids, local_of[seeds], local_hops, graph
+
+
+def build_subgraph(g: Graph, seeds, edges) -> Subgraph:
     """Materialize sampled nodes/edges as a Subgraph with local ids.
 
     ``edges`` is an (k, 2) array (or sequence of pairs) of global (u, v),
-    u the aggregating node. ``layers`` optionally splits the same edges
-    per hop. Node set = seeds plus all edge endpoints; ids out of range
-    are rejected. Local ids are positions in the sorted node set.
+    u the aggregating node. Node set = seeds plus all edge endpoints; ids
+    out of range are rejected. Local ids are positions in the sorted
+    node set.
     """
     seeds = np.asarray(seeds, dtype=np.int64).ravel()
     edge_arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    node_ids = unique_ids(np.concatenate([seeds, edge_arr.ravel()]))
-    # node_ids ascends, so its ends bound every id
-    if node_ids.size and (node_ids[0] < 0 or node_ids[-1] >= g.n):
+    ends = np.concatenate([seeds, edge_arr.ravel()])
+    if ends.size and (ends.min() < 0 or ends.max() >= g.n):
         raise ValueError("node id out of range")
-    local_of = np.full(g.n, -1, dtype=np.int64)
-    local_of[node_ids] = np.arange(node_ids.size)
-    local = local_of[edge_arr]
-    local_graph = _merge_edges(node_ids.size, local[:, 0], local[:, 1], directed=True)
-    seed_mask = np.zeros(node_ids.size, dtype=bool)
-    seed_mask[local_of[seeds]] = True
-    local_layers = None
-    if layers is not None:
-        local_layers = tuple(_localize(local_of, layer) for layer in layers)
-    return Subgraph(
-        parent_ids=_frozen(node_ids),
-        graph=local_graph,
-        seed_mask=_frozen(seed_mask),
-        layers=local_layers,
+    src, dst = edge_arr[:, 0], edge_arr[:, 1]
+    # the sources join the seeds, so each is numbered; only the seeds are marked
+    ids, local_seeds, _, local_graph = _number_sample(
+        g.n, np.concatenate([seeds, src]), [(src, dst)]
     )
+    return _subgraph(ids, local_seeds[: seeds.size], local_graph)
 
 
-def _localize(local_of: np.ndarray, pairs) -> np.ndarray:
-    """Local ids of global (u, v) pairs; every id must be a subgraph node."""
-    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if arr.size and (arr.min() < 0 or arr.max() >= local_of.size):
-        raise ValueError("node id out of range")
-    loc = local_of[arr]
-    if loc.size and loc.min() < 0:
-        raise ValueError("layer edge endpoint is not a subgraph node")
-    return loc
+def _subgraph(ids: np.ndarray, local_seeds: np.ndarray, graph: Graph, layers=None) -> Subgraph:
+    """The Subgraph of ``_number_sample``'s ids, local seeds and graph."""
+    seed_mask = np.zeros(ids.size, dtype=bool)
+    seed_mask[local_seeds] = True
+    return Subgraph(_frozen(ids), graph, _frozen(seed_mask), layers)
 
 
 @dataclass(frozen=True)
@@ -458,22 +471,25 @@ class RankTable:
         if ids.size and (ids.min() < 0 or ids.max() >= g.n):
             raise ValueError(foreign)
         deg = g.degrees()
-        rows = np.repeat(np.arange(g.n, dtype=np.int64), deg)
-        starts = np.repeat(g.offsets[:-1], deg)
         # one sort of (row, id, offset in row): each row keeps its own
-        # slots, so its start plus the decoded offset is the entry
+        # slots, so its start plus the decoded offset is the entry. Each
+        # m-sized array is made when needed and dropped after its last
+        # use, so no more than three are alive at once
         offset_bits = (int(deg.max(initial=0)) - 1).bit_length()
         id_bits = (g.n - 1).bit_length()
-        minor = ids << offset_bits
-        minor += np.arange(g.m)
-        minor -= starts
+        minor = np.arange(g.m)
+        minor -= np.repeat(g.offsets[:-1], deg)
+        minor |= ids << offset_bits
+        rows = np.repeat(np.arange(g.n, dtype=np.int64), deg)
         order = _packed_sort(rows, minor, id_bits + offset_bits)
+        del minor
         if order is not None:
             order &= (1 << offset_bits) - 1
-            order += starts
+            order += np.repeat(g.offsets[:-1], deg)
         else:
             # the keys of a valid table are distinct, so the sort needs no stability
             order = np.argsort(rows * g.n + ids)
+        del rows
         if not np.array_equal(ids[order], g.targets):
             raise ValueError(foreign)
         return order

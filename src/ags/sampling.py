@@ -14,7 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, RankTable, Subgraph, _frozen, _packed_sort, build_subgraph, unique_ids
+from .graph import (
+    Graph,
+    RankTable,
+    Subgraph,
+    _frozen,
+    _number_sample,
+    _packed_sort,
+    _subgraph,
+    build_subgraph,
+    unique_ids,
+)
 
 
 def rng_for(seed: int, *stream: int) -> np.random.Generator:
@@ -299,6 +309,16 @@ def sample_neighbors(
     return sample_frontier(rt, np.array([u], dtype=np.int64), k, replace, rng)[1]
 
 
+def _as_tables(tables) -> list[RankTable]:
+    """One rank table, or a sequence of one or two, as a list."""
+    if isinstance(tables, RankTable):
+        return [tables]
+    out = list(tables)
+    if not 1 <= len(out) <= 2:
+        raise ValueError("expected one or two rank tables")
+    return out
+
+
 def khop_draws(
     g: Graph,
     tables,
@@ -317,9 +337,7 @@ def khop_draws(
     Tables are expanded one after the other over the same seeds, from
     the one generator.
     """
-    tabs = [tables] if isinstance(tables, RankTable) else list(tables)
-    if not 1 <= len(tabs) <= 2:
-        raise ValueError("expected one or two rank tables")
+    tabs = _as_tables(tables)
     for rt in tabs:
         rt.check_rows(g)
     seed_arr = unique_ids(np.asarray(seeds, dtype=np.int64).ravel())
@@ -328,7 +346,7 @@ def khop_draws(
     if seed_arr.min() < 0 or seed_arr.max() >= g.n:
         raise ValueError("seed id out of range")
     fanouts = [int(f) for f in fanouts]
-    if any(f < 1 for f in fanouts):
+    if not fanouts or any(f < 1 for f in fanouts):
         raise ValueError("fanouts must be positive")
 
     draws = []
@@ -360,8 +378,9 @@ def node_sample_khop(
     seed_arr, draws = khop_draws(g, tables, seeds, fanouts, rng, replace)
     outs = []
     for hops in draws:
-        layers = [np.stack(hop, axis=1) for hop in hops]
-        outs.append(build_subgraph(g, seed_arr, np.concatenate(layers), layers=layers))
+        ids, local_seeds, local_hops, graph = _number_sample(g.n, seed_arr, hops)
+        layers = tuple(np.stack(hop, axis=1) for hop in local_hops)
+        outs.append(_subgraph(ids, local_seeds, graph, layers))
     return outs[0] if isinstance(tables, RankTable) else outs
 
 
@@ -380,7 +399,8 @@ def weighted_random_walk(
     returns the seeds with no edges.
 
     Each step is one ``_inverse_cdf`` call over the live walks, in seed
-    order; the subgraph is built from the set of walk edges.
+    order; the subgraph is built from the set of walk edges, with no
+    layers.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -399,11 +419,11 @@ def weighted_random_walk(
         if cur.size == 0:
             break
         nxt = _inverse_cdf(rt, cur, u[walker, t])
-        hops.append(np.stack([cur, nxt], axis=1))
+        hops.append((cur, nxt))
         keep = rt.offsets[nxt + 1] > rt.offsets[nxt]
         cur, walker = nxt[keep], walker[keep]
-    edges = np.concatenate(hops) if hops else np.zeros((0, 2), dtype=np.int64)
-    return build_subgraph(g, seed_arr, edges)
+    ids, local_seeds, _, graph = _number_sample(g.n, seed_arr, hops)
+    return _subgraph(ids, local_seeds, graph)
 
 
 def edge_weights_from_table(g: Graph, rt: RankTable) -> np.ndarray:

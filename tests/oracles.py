@@ -84,16 +84,25 @@ def sample_frontier_loop(rt, frontier, k, replace, rng):
 
 
 def walk_edges_loop(rt, seeds, steps, rng):
-    """Edges of one walk per seed, walked seed by seed, step by step."""
+    """Edges of one walk per seed, walked seed by seed, step by step.
+
+    A walk whose seed has ranked neighbours owns ``steps`` uniforms,
+    drawn before it starts; a dead end stops it and leaves the rest
+    unused.
+    """
     edges = []
     for s in seeds:
         cur = int(s)
-        for _ in range(steps):
-            picks = sample_neighbors_one(rt, cur, 1, True, rng)
-            if picks.size == 0:
+        if rt.offsets[cur + 1] == rt.offsets[cur]:
+            continue
+        for u in rng.random(steps):
+            ids, probs = rt.row(cur)
+            if ids.size == 0:
                 break
-            edges.append((cur, int(picks[0])))
-            cur = int(picks[0])
+            idx = np.searchsorted(np.cumsum(probs), u, side="right")
+            nxt = int(ids[min(idx, ids.size - 1)])
+            edges.append((cur, nxt))
+            cur = nxt
     return edges
 
 

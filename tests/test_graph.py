@@ -577,17 +577,9 @@ class TestSubgraph:
 
     def test_out_of_range_rejected(self):
         g = G.from_edges(2, [0], [1])
-        with pytest.raises(ValueError, match="out of range"):
-            G.build_subgraph(g, seeds=[5], edges=[])
-
-    def test_layers_localized(self):
-        g = G.from_edges(4, [0, 1, 2], [1, 2, 3])
-        sg = G.build_subgraph(
-            g, seeds=[0], edges=[(0, 1), (1, 2)], layers=[[(0, 1)], [(1, 2)]]
-        )
-        assert len(sg.layers) == 2
-        assert sg.layers[0].tolist() == [[0, 1]]
-        assert sg.layers[1].tolist() == [[1, 2]]
+        for seeds, edges in (([5], []), ([0], [(0, 2)]), ([], [(-1, 0)])):
+            with pytest.raises(ValueError, match="out of range"):
+                G.build_subgraph(g, seeds=seeds, edges=edges)
 
     def test_matches_dict_remap_oracle(self):
         rng = np.random.default_rng(11)
@@ -596,30 +588,14 @@ class TestSubgraph:
             g = G.from_edges(n, [], [], directed=True)
             seeds = rng.integers(0, n, size=int(rng.integers(0, 6)))
             edges = rng.integers(0, n, size=(int(rng.integers(0, 60)), 2))
-            cut = int(rng.integers(0, edges.shape[0] + 1))
-            layers = [edges[:cut], edges[cut:]] if trial % 2 else None
-            got = G.build_subgraph(g, seeds, edges, layers=layers)
-            ids, local, mask, local_layers = build_subgraph_dict(
-                g, seeds, edges, layers
-            )
+            got = G.build_subgraph(g, seeds, edges)
+            ids, local, mask, _ = build_subgraph_dict(g, seeds, edges)
             assert np.array_equal(got.parent_ids, ids)
             assert np.array_equal(got.graph.offsets, local.offsets)
             assert np.array_equal(got.graph.targets, local.targets)
             assert got.graph.n == local.n and got.graph.directed
             assert np.array_equal(got.seed_mask, mask)
-            if layers is None:
-                assert got.layers is None
-            else:
-                assert len(got.layers) == len(local_layers)
-                for a, b in zip(got.layers, local_layers):
-                    assert a.dtype == b.dtype and np.array_equal(a, b)
-
-    def test_layer_endpoint_outside_node_set_rejected(self):
-        g = G.from_edges(4, [0, 1, 2], [1, 2, 3])
-        with pytest.raises(ValueError, match="not a subgraph node"):
-            G.build_subgraph(g, [0], [(0, 1)], layers=[[(2, 3)]])
-        with pytest.raises(ValueError, match="out of range"):
-            G.build_subgraph(g, [0], [(0, 1)], layers=[[(0, 9)]])
+            assert got.layers is None
 
 
 def toy_table(n=4):

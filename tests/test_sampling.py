@@ -283,7 +283,7 @@ class TestNodeSampleKhop:
         with pytest.raises(ValueError, match="range"):
             SA.node_sample_khop(g, rt, [9], [2], SA.rng_for(0))
 
-    @pytest.mark.parametrize("fanouts", [[0, 2], [2, 0], [-1]])
+    @pytest.mark.parametrize("fanouts", [[0, 2], [2, 0], [-1], []])
     def test_nonpositive_fanout_rejected(self, fanouts):
         g, rt = star_table(3)
         with pytest.raises(ValueError, match="fanouts must be positive"):
@@ -331,6 +331,41 @@ class TestNodeSampleKhop:
         for layer in sub.layers:
             assert layer.shape[1] == 2
             assert np.all(layer < sub.n)
+
+    @pytest.mark.parametrize("replace", [False, True])
+    def test_matches_dict_remap_oracle(self, replace):
+        # the draws come from a per-vertex loop, the subgraph fields from a dict remap
+        rng = np.random.default_rng(21)
+        for trial in range(30):
+            g = random_graph(rng, n=int(rng.integers(2, 40)), m=int(rng.integers(0, 80)))
+            x = rng.normal(size=(g.n, 3))
+            tables = [R.rank_by_similarity(g, x)]
+            if trial % 2:
+                tables.append(R.rank_by_diversity(g, x))
+            seeds = rng.integers(0, g.n, size=int(rng.integers(1, 8)))
+            fanouts = rng.integers(1, 5, size=int(rng.integers(1, 4))).tolist()
+            got = SA.node_sample_khop(
+                g, tables if trial % 2 else tables[0], seeds, fanouts, SA.rng_for(trial), replace
+            )
+            draw_rng = SA.rng_for(trial)
+            for sub, rt in zip(got if trial % 2 else [got], tables):
+                frontier, layers = np.unique(seeds), []
+                for k in fanouts:
+                    which, picks = sample_frontier_loop(rt, frontier, k, replace, draw_rng)
+                    layers.append(np.stack([frontier[which], picks], axis=1))
+                    frontier = np.unique(picks)
+                ids, local, mask, local_layers = build_subgraph_dict(
+                    g, seeds, np.concatenate(layers), layers
+                )
+                assert np.array_equal(sub.parent_ids, ids)
+                assert np.array_equal(sub.graph.offsets, local.offsets)
+                assert np.array_equal(sub.graph.targets, local.targets)
+                assert sub.graph.n == local.n and sub.graph.directed
+                assert np.array_equal(sub.seed_mask, mask)
+                assert len(sub.layers) == len(local_layers)
+                for a, b in zip(sub.layers, local_layers):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert np.array_equal(a, b)
 
     def test_dual_channel_same_seeds(self):
         rng = np.random.default_rng(5)
@@ -428,19 +463,24 @@ class TestWeightedRandomWalk:
             assert g.has_edge(int(sub.parent_ids[a]), int(sub.parent_ids[b]))
 
     def test_same_walks_as_per_walk_loop(self):
-        # isolated seeds draw nothing; every other walk owns `steps` uniforms
+        # isolated seeds draw nothing; every other walk owns `steps` uniforms.
+        # Directed, 9 of the 32 nodes have no out-edges, so walks also end midway
         rng = np.random.default_rng(9)
         src, dst = rng.integers(0, 30, size=(2, 40))
-        g = G.from_edges(32, src, dst, directed=False)  # 30 and 31 isolated
-        rt = R.rank_by_similarity(g, rng.normal(size=(g.n, 3)))
-        seeds = np.concatenate([rng.integers(0, g.n, size=25), [31, 4, 30, 4]])
-        for steps in (0, 1, 5):
-            sub = SA.weighted_random_walk(g, rt, seeds, steps, SA.rng_for(steps))
-            edges = walk_edges_loop(rt, seeds, steps, SA.rng_for(steps))
-            ids, local, _, _ = build_subgraph_dict(g, seeds, edges)
-            assert np.array_equal(sub.parent_ids, ids)
-            assert np.array_equal(sub.graph.offsets, local.offsets)
-            assert np.array_equal(sub.graph.targets, local.targets)
+        for directed in (False, True):
+            g = G.from_edges(32, src, dst, directed=directed)  # 30 and 31 isolated
+            rt = R.rank_by_similarity(g, rng.normal(size=(g.n, 3)))
+            seeds = np.concatenate([rng.integers(0, g.n, size=25), [31, 4, 30, 4]])
+            for steps in (0, 1, 5, 20):
+                sub = SA.weighted_random_walk(g, rt, seeds, steps, SA.rng_for(steps))
+                edges = walk_edges_loop(rt, seeds, steps, SA.rng_for(steps))
+                ids, local, mask, _ = build_subgraph_dict(g, seeds, edges)
+                assert np.array_equal(sub.parent_ids, ids)
+                assert np.array_equal(sub.graph.offsets, local.offsets)
+                assert np.array_equal(sub.graph.targets, local.targets)
+                assert sub.graph.n == local.n and sub.graph.directed
+                assert np.array_equal(sub.seed_mask, mask)
+                assert sub.layers is None
 
     def test_star_leaf_frequencies(self):
         _, rt = star_table(5, kind="step")
