@@ -27,6 +27,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -109,6 +110,10 @@ def main() -> None:
     div = timed("rank diverse, facility_location",
                 lambda: ranking.rank_by_diversity(g, x, fn_kind="facility_location", pmf=pmf))
 
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sim.agsr")
+        median_of("graph.save_rank_table", lambda: graph.save_rank_table(sim, path))
+        median_of("graph.load_rank_table", lambda: graph.load_rank_table(path))
     median_of("table construction", lambda: graph.make_rank_table(
         sim.mode, sim.pmf_kind, sim.pmf_params, sim.offsets, sim.ranked_ids, sim.probs),
         "derived sampling arrays from the masses")

@@ -13,6 +13,7 @@ after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -24,8 +25,9 @@ from . import textscan
 RANK_TABLE_MAGIC = b"AGSR"
 RANK_TABLE_VERSION = 1
 # magic(4) version(4) mode(1) pmf(1) pad(2) n(8) m(8) params(6*8)
-RANK_TABLE_HEADER_BYTES = 76
-RANK_TABLE_TRAILER_BYTES = 4
+_RANK_TABLE_HEADER = "<4sIBBHQQ6d"
+RANK_TABLE_HEADER_BYTES = struct.calcsize(_RANK_TABLE_HEADER)
+RANK_TABLE_TRAILER_BYTES = 4  # the CRC32 that ends every binary frame
 
 _MODES = ("similar", "diverse", "uniform")
 _PMF_KINDS = ("step", "linear", "exponential", "uniform")
@@ -557,69 +559,83 @@ def make_rank_table(mode, pmf_kind, pmf_params, offsets, ranked_ids, probs) -> R
     )
 
 
+def _checked(obj, what: str):
+    """``obj`` once ``obj.validate()`` passes, else its ValueError after ``what``."""
+    try:
+        obj.validate()
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+    return obj
+
+
+def _write_frame(path: str, header_fmt: str, header: tuple, arrays) -> None:
+    """Write a ``struct`` header starting ``<4sI`` (magic, version), the
+    ``(file dtype, array)`` pairs of ``arrays`` back to back, and the
+    little-endian CRC32 of all of it."""
+    parts = [struct.pack(header_fmt, *header)]
+    parts += [np.ascontiguousarray(a, dtype=dtype) for dtype, a in arrays]
+    crc = 0
+    with open(path, "wb") as fh:
+        for part in parts:
+            fh.write(part)
+            crc = zlib.crc32(part, crc)
+        fh.write(struct.pack("<I", crc))
+
+
+def _read_frame(path: str, name: str, magic: bytes, version: int, header_fmt: str, layout):
+    """A frame's header fields after magic and version, and its arrays.
+
+    Checks, in order: length, CRC32, magic, version, and that the body is
+    exactly the ``(8-byte file dtype, dtype, shape)`` arrays declared by
+    ``layout(*fields)``, which may raise ValueError on a bad field."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    start = struct.calcsize(header_fmt)
+    if len(blob) < start + RANK_TABLE_TRAILER_BYTES:
+        raise ValueError(f"truncated {name} file")
+    payload = memoryview(blob)[:-RANK_TABLE_TRAILER_BYTES]
+    if struct.unpack_from("<I", blob, len(payload))[0] != zlib.crc32(payload):
+        raise ValueError(f"{name} checksum failure")
+    file_magic, file_version, *fields = struct.unpack_from(header_fmt, blob)
+    if file_magic != magic:
+        raise ValueError(f"bad magic: not a {name} file")
+    if file_version != version:
+        raise ValueError(f"unsupported {name} version {file_version}")
+    arrays = layout(*fields)
+    if len(payload) != start + 8 * sum(math.prod(shape) for _, _, shape in arrays):
+        raise ValueError(f"truncated {name} file")
+    out = []
+    for file_dtype, dtype, shape in arrays:
+        count = math.prod(shape)
+        out.append(np.frombuffer(blob, file_dtype, count, start).astype(dtype).reshape(shape))
+        start += 8 * count
+    return fields, out
+
+
 def save_rank_table(rt: RankTable, path: str) -> None:
-    """Write the little-endian binary table with a trailing CRC32.
+    """Write the table as AGSR v1 (``_write_frame``).
 
     Raises ValueError, writing nothing, on a table that ``validate``
     rejects, so every file written here loads.
     """
-    try:
-        rt.validate()
-    except ValueError as exc:
-        raise ValueError(f"rank table not written: {exc}") from None
-    header = struct.pack(
-        "<4sIBBHQQ6d",
-        RANK_TABLE_MAGIC,
-        RANK_TABLE_VERSION,
-        _MODES.index(rt.mode),
-        _PMF_KINDS.index(rt.pmf_kind),
-        0,
-        rt.n,
-        rt.m,
-        *rt.pmf_params,
-    )
-    body = (
-        rt.offsets.astype("<u8").tobytes()
-        + rt.ranked_ids.astype("<u8").tobytes()
-        + rt.probs.astype("<f8").tobytes()
-    )
-    blob = header + body
-    with open(path, "wb") as fh:
-        fh.write(blob)
-        fh.write(struct.pack("<I", zlib.crc32(blob)))
+    _checked(rt, "rank table not written")
+    header = (RANK_TABLE_MAGIC, RANK_TABLE_VERSION, _MODES.index(rt.mode),
+              _PMF_KINDS.index(rt.pmf_kind), 0, rt.n, rt.m, *rt.pmf_params)
+    arrays = [("<u8", rt.offsets), ("<u8", rt.ranked_ids), ("<f8", rt.probs)]
+    _write_frame(path, _RANK_TABLE_HEADER, header, arrays)
+
+
+def _rank_table_layout(mode, pmf_kind, _pad, n, m, *params):
+    if mode >= len(_MODES) or pmf_kind >= len(_PMF_KINDS):
+        raise ValueError("corrupt rank table header")
+    return [("<u8", np.int64, (n + 1,)), ("<u8", np.int64, (m,)), ("<f8", np.float64, (m,))]
 
 
 def load_rank_table(path: str) -> RankTable:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < RANK_TABLE_HEADER_BYTES + RANK_TABLE_TRAILER_BYTES:
-        raise ValueError("truncated rank table file")
-    payload, trailer = blob[:-4], blob[-4:]
-    (crc,) = struct.unpack("<I", trailer)
-    if crc != zlib.crc32(payload):
-        raise ValueError("rank table checksum failure")
-    magic, version, mode_b, pmf_b, _pad, n, m = struct.unpack_from("<4sIBBHQQ", payload, 0)
-    if magic != RANK_TABLE_MAGIC:
-        raise ValueError("bad magic: not a rank table file")
-    if version != RANK_TABLE_VERSION:
-        raise ValueError(f"unsupported rank table version {version}")
-    if mode_b >= len(_MODES) or pmf_b >= len(_PMF_KINDS):
-        raise ValueError("corrupt rank table header")
-    params = struct.unpack_from("<6d", payload, 28)
-    expect = RANK_TABLE_HEADER_BYTES + (n + 1) * 8 + m * 16
-    if len(payload) != expect:
-        raise ValueError("truncated rank table file")
-    off = RANK_TABLE_HEADER_BYTES
-    offsets = np.frombuffer(payload, dtype="<u8", count=n + 1, offset=off).astype(np.int64)
-    off += (n + 1) * 8
-    ranked = np.frombuffer(payload, dtype="<u8", count=m, offset=off).astype(np.int64)
-    off += m * 8
-    probs = np.frombuffer(payload, dtype="<f8", count=m, offset=off).astype(np.float64)
-    rt = make_rank_table(_MODES[mode_b], _PMF_KINDS[pmf_b], params, offsets, ranked, probs)
+    (mode, pmf_kind, _, _, _, *params), arrays = _read_frame(
+        path, "rank table", RANK_TABLE_MAGIC, RANK_TABLE_VERSION, _RANK_TABLE_HEADER,
+        _rank_table_layout)
     # a valid checksum does not make a valid table; ids past 2**63 turn
     # negative as int64 and fail the range check
-    try:
-        rt.validate()
-    except ValueError as exc:
-        raise ValueError(f"corrupt rank table: {exc}") from None
-    return rt
+    rt = make_rank_table(_MODES[mode], _PMF_KINDS[pmf_kind], params, *arrays)
+    return _checked(rt, "corrupt rank table")

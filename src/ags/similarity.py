@@ -13,19 +13,18 @@ Three interchangeable kinds feed the ranking and sampling layers:
 
 from __future__ import annotations
 
-import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .graph import Graph
+from .graph import Graph, _checked, _read_frame, _write_frame
 
 SIM_KINDS = ("cosine", "neg_euclidean", "learned")
 
 MODEL_MAGIC = b"AGSM"
 MODEL_VERSION = 1
+_MODEL_HEADER = "<4sIQQQ"  # magic, version, f, h1, h2
 
 
 def cosine(xu: np.ndarray, xv: np.ndarray) -> float:
@@ -181,6 +180,11 @@ class SiameseModel:
     def parameters(self) -> list[np.ndarray]:
         return self.tower.parameters() + self.head.parameters()
 
+    def validate(self) -> None:
+        """Raise ValueError unless every parameter is finite."""
+        if not all(np.all(np.isfinite(p)) for p in self.parameters()):
+            raise ValueError("every parameter must be finite")
+
 
 def new_siamese(
     f: int, h1: int, h2: int, rng: np.random.Generator
@@ -293,7 +297,8 @@ def train_similarity(
     inside the training split; if the split has none, uniformly drawn
     same-class training pairs) and random non-edge training pairs. The
     regression target for every pair is the label-match indicator.
-    Returns the model and the per-epoch loss history.
+    Returns the model and the per-epoch loss history; divergence (a
+    non-finite gradient) raises ValueError.
     """
     if cfg.epochs < 1:
         raise ValueError("epochs must be positive")
@@ -374,7 +379,10 @@ def train_similarity(
         vs = np.concatenate([ev, nv])
         targets = (y[us] == y[vs]).astype(np.float64)
         loss, grads = pair_loss_and_grads(model, x[us], x[vs], targets)
-        nn.adam_step(state, model.parameters(), grads)
+        try:
+            nn.adam_step(state, model.parameters(), grads)
+        except FloatingPointError as exc:
+            raise ValueError(f"similarity training diverged: {exc}") from None
         history.append(loss)
         if len(history) >= cfg.plateau_window:
             window = float(np.mean(history[-cfg.plateau_window :]))
@@ -389,50 +397,23 @@ def train_similarity(
 
 
 def save_similarity_model(path: str, model: SiameseModel) -> None:
-    """Write the model as AGSM v1: dims header, f64 arrays, CRC32."""
+    """Write AGSM v1 (dims header, f64 arrays); nothing for a model ``validate`` rejects."""
+    _checked(model, "similarity model not written")
     f = model.tower.layers[0].w.shape[1]
     h1 = model.tower.layers[0].w.shape[0]
     h2 = model.tower.layers[1].w.shape[0]
-    payload = struct.pack("<4sIQQQ", MODEL_MAGIC, MODEL_VERSION, f, h1, h2)
-    for arr in model.parameters():
-        payload += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    payload += struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-    with open(path, "wb") as fh:
-        fh.write(payload)
+    arrays = [("<f8", p) for p in model.parameters()]
+    _write_frame(path, _MODEL_HEADER, (MODEL_MAGIC, MODEL_VERSION, f, h1, h2), arrays)
+
+
+def _model_layout(f, h1, h2):
+    return [("<f8", np.float64, s) for s in [(h1, f), (h1,), (h2, h1), (h2,), (1, 2 * h2), (1,)]]
 
 
 def load_similarity_model(path: str) -> SiameseModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head_size = struct.calcsize("<4sIQQQ")
-    if len(blob) < head_size + 4:
-        raise ValueError("truncated model file")
-    if struct.unpack("<I", blob[-4:])[0] != (zlib.crc32(blob[:-4]) & 0xFFFFFFFF):
-        raise ValueError("model file checksum mismatch")
-    magic, version, f, h1, h2 = struct.unpack("<4sIQQQ", blob[:head_size])
-    if magic != MODEL_MAGIC:
-        raise ValueError("bad magic: not a similarity model file")
-    if version != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {version}")
-    shapes = [(h1, f), (h1,), (h2, h1), (h2,), (1, 2 * h2), (1,)]
-    expected = head_size + sum(int(np.prod(s)) * 8 for s in shapes) + 4
-    if len(blob) != expected:
-        raise ValueError("truncated model file")
-    arrays = []
-    off = head_size
-    for shape in shapes:
-        count = int(np.prod(shape))
-        arrays.append(
-            np.frombuffer(blob, dtype="<f8", count=count, offset=off)
-            .reshape(shape)
-            .astype(np.float64)
-        )
-        off += count * 8
-    tower = nn.DenseNet(
-        [
-            nn.DenseLayer(arrays[0], arrays[1], "relu"),
-            nn.DenseLayer(arrays[2], arrays[3], "relu"),
-        ]
+    _, (w0, b0, w1, b1, w2, b2) = _read_frame(
+        path, "similarity model", MODEL_MAGIC, MODEL_VERSION, _MODEL_HEADER, _model_layout
     )
-    head = nn.DenseNet([nn.DenseLayer(arrays[4], arrays[5], "sigmoid")])
-    return SiameseModel(tower=tower, head=head)
+    tower = nn.DenseNet([nn.DenseLayer(w0, b0, "relu"), nn.DenseLayer(w1, b1, "relu")])
+    head = nn.DenseNet([nn.DenseLayer(w2, b2, "sigmoid")])
+    return _checked(SiameseModel(tower=tower, head=head), "corrupt similarity model")

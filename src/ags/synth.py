@@ -305,8 +305,9 @@ def verify_lemmas(
         state = _STATES[fn](_kernel_or_features(local, sim, fn, model), lam)
         state.add(d)
         gains = state.gains(slice(0, d))
-        if np.any(sims < 0.0) or np.any(gains < -1e-12):
-            raise ValueError("selection masses must be nonnegative")
+        finite = np.isfinite(sims).all() and np.isfinite(gains).all()
+        if not (finite and np.all(sims >= 0.0) and np.all(gains >= -1e-12)):
+            raise ValueError("selection masses must be finite and nonnegative")
         gains = np.maximum(gains, 0.0)
         st, sd = float(sims[y[nbrs] == y[t]].sum()), float(sims.sum())
         mt, md = float(gains[y[nbrs] == y[t]].sum()), float(gains.sum())

@@ -10,6 +10,8 @@ import contextlib
 import io
 import json
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -55,6 +57,14 @@ def p(workdir, name):
 
 def graph_flags(workdir):
     return ["--graph", p(workdir, "g.edges")]
+
+
+def huge_features(workdir):
+    """The features times 1e200: finite, but their squared distances overflow."""
+    path = workdir / "x_huge.txt"
+    x = np.loadtxt(workdir / "x.txt", delimiter=",")
+    np.savetxt(path, x * 1e200, fmt="%.17g", delimiter=",")
+    return str(path)
 
 
 def data_flags(workdir):
@@ -678,6 +688,17 @@ class TestLearnedRank:
         assert cli.main(args) == 1
         assert not out.exists() and not (tmp_path / "t.agsr.model").exists()
 
+    def test_diverging_training_exits_1(self, workdir, tmp_path, capsys):
+        out = tmp_path / "t.agsr"
+        args = self.learned_args(workdir, out)
+        args[args.index(p(workdir, "x.txt"))] = huge_features(workdir)
+        with np.errstate(all="ignore"):
+            assert cli.main([*args, "--sim-epochs", "3"]) == 1
+        assert "diverged" in capsys.readouterr().err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["t.agsr.manifest.json"]
+        manifest = json.loads((tmp_path / "t.agsr.manifest.json").read_text())
+        assert "diverged" in manifest["error"]
+
     def test_learned_without_labels_exits_1(self, workdir):
         assert cli.main(["rank", *graph_flags(workdir),
                          "--features", p(workdir, "x.txt"),
@@ -711,6 +732,34 @@ class TestVerifyAndTrain:
         err = capsys.readouterr().err
         assert f"model {model_path} takes 4-wide features" in err
         assert "--features has width 3" in err
+
+    def test_verify_lemmas_non_finite_model_exits_1(self, workdir, tmp_path, capsys):
+        # a NaN weight behind a recomputed checksum
+        model_path = tmp_path / "nan.model"
+        save_similarity_model(str(model_path), new_siamese(C, 5, 3, np.random.default_rng(0)))
+        blob = bytearray(model_path.read_bytes())[:-4]
+        struct.pack_into("<d", blob, 32, float("nan"))
+        blob += struct.pack("<I", zlib.crc32(bytes(blob)))
+        model_path.write_bytes(bytes(blob))
+        out = tmp_path / "lem.json"
+        assert cli.main(["verify-lemmas", *graph_flags(workdir), *data_flags(workdir),
+                         "--sim", "learned", "--model", str(model_path),
+                         "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "lem.json.manifest.json").read_text())
+        assert "finite" in manifest["error"]
+
+    def test_verify_lemmas_non_finite_masses_exit_1(self, workdir, tmp_path, capsys):
+        out = tmp_path / "lem.json"
+        with np.errstate(all="ignore"):
+            assert cli.main(["verify-lemmas", *graph_flags(workdir),
+                             "--features", huge_features(workdir),
+                             "--labels", p(workdir, "y.txt"), "--sim", "euclidean",
+                             "--out", str(out)]) == 1
+        assert "nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+        assert (tmp_path / "lem.json.manifest.json").exists()
 
     def test_train_demo_without_tables_exits_1(self, workdir, tmp_path, capsys):
         out = tmp_path / "run.json"

@@ -707,6 +707,26 @@ class TestRankTablePersistence:
         with pytest.raises(ValueError, match=match):
             G.load_rank_table(str(path))
 
+    @pytest.mark.parametrize("offset,value", [(32, float("nan")), (-8, float("inf"))])
+    def test_model_parameters_checked_behind_a_valid_checksum(self, tmp_path, offset, value):
+        # a similarity model file shares the frame: a non-finite weight
+        # (the first) or bias (the last) fails behind a valid checksum
+        import struct
+        import zlib
+
+        from ags import similarity
+
+        path = tmp_path / "m.model"
+        similarity.save_similarity_model(
+            str(path), similarity.new_siamese(3, 4, 2, np.random.default_rng(0))
+        )
+        blob = bytearray(path.read_bytes())[:-4]
+        struct.pack_into("<d", blob, offset % len(blob), value)
+        blob += struct.pack("<I", zlib.crc32(bytes(blob)))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="corrupt similarity model: .*finite"):
+            similarity.load_similarity_model(str(path))
+
     def test_row_sum_tolerance(self, tmp_path):
         rt = G.make_rank_table(
             "similar", "step", (0.2, 0.2, 4.0, 2.0, 1.0, 0.0),

@@ -822,6 +822,40 @@ def test_tables_match_per_row_ranking_bytes(tmp_path, sim, fn):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TABLES[(sim, fn)]
 
 
+# sha256 of the saved AGSR file of one table per mode and PMF kind on
+# mixed_graph_and_features(31), written by the per-format writer of
+# commit 7cfaef6, before both binary formats shared one frame. Float
+# bits can differ with another BLAS build.
+PINNED_FILES = {
+    ("similar", "step"): "c9206dd756e520e4502344a1b9165f2e308f75c9c30d7d99420f330a0f0cfe4a",
+    ("similar", "linear"): "b1bb2b439a217f3979b5c3fdba10f4a2fd35b169cadc20726b80bbd9306bfdf8",
+    ("similar", "exponential"): "cfdd3b656656de220379d551ae9a487172cc2ac6e1fea64a439e290452a950fd",
+    ("diverse", "step"): "2a358c388b2daf4605af308c8a4f73b47b5a4388d1e8a38786f1fd2d8f54156d",
+    ("diverse", "linear"): "3e7d6e8d5ee1bb0e06b63de8f38a79f15e3d970d343c17b80d6f8dac28f88e39",
+    ("diverse", "exponential"): "091ee9ecaea93cea30b72d53640d42150e6e2769e398f6606b699438a75fcce4",
+    ("uniform", "uniform"): "2bf7b0fd378ef69b2008e7b1cc4f22e305c35163a8042c164b7ed4494026ea2d",
+}
+
+
+def pinned_table(mode, pmf_kind):
+    g, x = mixed_graph_and_features(31)
+    if mode == "uniform":
+        return R.rank_uniform(g)
+    pmf = R.PmfSpec(kind=pmf_kind, rate=0.7)
+    if mode == "similar":
+        return R.rank_by_similarity(g, x, pmf=pmf)
+    return R.rank_by_diversity(g, x, sim="neg_euclidean", fn_kind="graph_cut", pmf=pmf)
+
+
+@pytest.mark.parametrize("mode,pmf_kind", sorted(PINNED_FILES))
+def test_saved_table_bytes_are_pinned(tmp_path, mode, pmf_kind):
+    path = tmp_path / "t.agsr"
+    G.save_rank_table(pinned_table(mode, pmf_kind), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_FILES[(mode, pmf_kind)]
+    rt = G.load_rank_table(str(path))
+    assert (rt.mode, rt.pmf_kind) == (mode, pmf_kind)
+
+
 class TestRankUniform:
     def test_uniform_table(self):
         g = star_graph(4)

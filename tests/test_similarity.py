@@ -300,6 +300,24 @@ class TestGradients:
 
 
 class TestPersistence:
+    # sha256 of new_siamese(5, 7, 6, default_rng(8)) saved by the
+    # per-format writer of commit 7cfaef6, before both binary formats
+    # shared one frame
+    PINNED_MODEL = "73ea1eb240f4f81bb1768b1edb9b75334f456bceb149f5a89bb7421e9d6aed9a"
+
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "m.model"
+        S.save_similarity_model(str(path), S.new_siamese(5, 7, 6, np.random.default_rng(8)))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_MODEL
+
+    def test_non_finite_model_not_written(self, tmp_path):
+        model = S.new_siamese(3, 4, 4, np.random.default_rng(12))
+        model.head.layers[0].b[0] = np.nan
+        path = tmp_path / "model.agsm"
+        with pytest.raises(ValueError, match="similarity model not written: .*finite"):
+            S.save_similarity_model(str(path), model)
+        assert not path.exists()
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(8)
         model = S.new_siamese(5, 7, 6, rng)

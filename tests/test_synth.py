@@ -327,6 +327,15 @@ class TestVerifyLemmas:
         assert rep.node_ids.size == 0
         assert any("zero_gain_mass=3" in f for f in rep.flags)
 
+    def test_non_finite_masses_rejected(self):
+        # finite features whose squared distances overflow: inf - inf
+        # makes NaN similarities, which no sign check catches
+        y = labels(60, 3, 28)
+        x = onehot_noise(y, 3, 28)
+        g = SY.generate_synthetic(x, y, SY.SynthSpec(0.3, 6.0, seed=29))
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="nonnegative"):
+            SY.verify_lemmas(g, x * 1e200, y, sim="neg_euclidean")
+
     def test_bad_kind_errors(self):
         import ags.graph as G
 
